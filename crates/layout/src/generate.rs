@@ -3,10 +3,11 @@ use crate::{BenchmarkSpec, LayoutError, Signature};
 use hotspot_features::{run_length_histogram, FeatureExtractor, FeatureMatrix, DEFAULT_RUN_BINS};
 use hotspot_geom::{Point, Raster, Rect};
 use hotspot_litho::{CountingOracle, Label, LithoSimulator};
+use hotspot_telemetry as telemetry;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
 
 /// A fully generated benchmark: labels, features, and signatures for every
 /// clip, with rasters regenerable on demand.
@@ -38,10 +39,23 @@ impl GeneratedBenchmark {
     /// Generates a benchmark matching `spec` exactly, deterministically in
     /// `seed`.
     ///
-    /// Candidates are synthesised in parallel batches, labelled by the
-    /// lithography simulator, and accepted until both class quotas are met;
-    /// with some probability a candidate instead duplicates an earlier
-    /// accepted clip (sharing its pattern and label).
+    /// Candidates are synthesised in batches, labelled by the lithography
+    /// simulator, and accepted until both class quotas are met; with some
+    /// probability a candidate instead duplicates an earlier accepted clip
+    /// (sharing its pattern and label).
+    ///
+    /// # Determinism
+    ///
+    /// The result is a pure function of `(spec, seed)`, whatever the number
+    /// of cores. One serial RNG makes every random decision: duplicate
+    /// draws, and the `(family, clip_seed)` pair of each fresh candidate in a
+    /// batch, all drawn before the batch is labelled. Synthesis, labelling,
+    /// features and signature of a candidate depend only on its pair, so the
+    /// batch can be mapped on one thread per available core. The map returns
+    /// candidates in draw order, and acceptance then runs serially in that
+    /// order. Labels, features, signatures and the accept order are
+    /// therefore the same as a sequential loop would produce. Worker threads
+    /// inherit the caller's telemetry silence and trace context.
     ///
     /// # Errors
     ///
@@ -55,6 +69,7 @@ impl GeneratedBenchmark {
         let sim = LithoSimulator::new(tech.litho_config());
         let extractor = FeatureExtractor::standard();
         let core = core_rect(spec);
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut recipes: Vec<ClipRecipe> = Vec::with_capacity(spec.total());
@@ -118,7 +133,9 @@ impl GeneratedBenchmark {
                 }
             }
 
-            // Fresh candidates, synthesised and labelled in parallel.
+            // Fresh candidates: the serial RNG draws every (family, seed)
+            // pair first, then the pairs are synthesised and labelled on
+            // worker threads and come back in draw order.
             let fresh_batch = batch.saturating_sub(dup_quota).max(1);
             let specs: Vec<(ClipFamily, u64)> = (0..fresh_batch)
                 .map(|_| {
@@ -128,23 +145,20 @@ impl GeneratedBenchmark {
                 })
                 .collect();
             attempts += specs.len();
-            let candidates: Vec<Candidate> = specs
-                .into_par_iter()
-                .map(|(family, clip_seed)| {
-                    let raster = synthesize(tech, family, clip_seed);
-                    let label = sim.label(&raster, core);
-                    Candidate {
-                        recipe: ClipRecipe::Fresh {
-                            family,
-                            seed: clip_seed,
-                        },
-                        label,
-                        dct: clip_features(&extractor, &raster, core),
-                        density: extractor.density_features(&raster),
-                        signature: Signature::from_raster(&raster, core),
-                    }
-                })
-                .collect();
+            let candidates = ordered_map(&specs, threads, |&(family, clip_seed)| {
+                let raster = synthesize(tech, family, clip_seed);
+                let label = sim.label(&raster, core);
+                Candidate {
+                    recipe: ClipRecipe::Fresh {
+                        family,
+                        seed: clip_seed,
+                    },
+                    label,
+                    dct: clip_features(&extractor, &raster, core),
+                    density: extractor.density_features(&raster),
+                    signature: Signature::from_raster(&raster, core),
+                }
+            });
             for c in candidates {
                 let fits = match c.label {
                     Label::Hotspot => hotspots < spec.hotspots,
@@ -355,6 +369,57 @@ fn clip_features(extractor: &FeatureExtractor, raster: &Raster, core: Rect) -> V
     features
 }
 
+/// Maps `f` over `items` on up to `threads` threads and returns the results
+/// in input order.
+///
+/// `items` is cut into at most `threads` contiguous chunks of near-equal
+/// length. The calling thread maps the first chunk itself, one scoped
+/// thread maps each other chunk, and the per-chunk results are joined in
+/// chunk order — so the output equals `items.iter().map(f).collect()` for
+/// any thread count. Workers inherit the caller's telemetry state: a
+/// silenced caller gets silenced workers, and a traced caller's open span
+/// parents the workers' spans, whose records are absorbed in chunk order.
+/// A panic in any chunk propagates to the caller.
+fn ordered_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let chunk_len = items.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks = items.chunks(chunk_len);
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    let silenced = telemetry::thread_is_silenced();
+    let handoff = telemetry::trace::handoff();
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let _mute = silenced.then(telemetry::silence_thread);
+                    let _trace = telemetry::trace::adopt(handoff, handoff.map_or(0, |h| h.track()));
+                    let out: Vec<R> = chunk.iter().map(f).collect();
+                    (out, telemetry::trace::harvest())
+                })
+            })
+            .collect();
+        let mut out: Vec<R> = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(f));
+        for worker in workers {
+            match worker.join() {
+                Ok((part, records)) => {
+                    out.extend(part);
+                    telemetry::trace::absorb(records);
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        out
+    })
+}
+
 fn core_rect(spec: &BenchmarkSpec) -> Rect {
     let lo = (spec.tech.clip_edge() - spec.tech.core_edge()) / 2;
     // core_edge is non-negative for every Tech, so spanning() needs no
@@ -520,6 +585,76 @@ mod tests {
         let corrupted = text.replacen("\"NonHotspot\"", "\"Hotspot\"", 1);
         assert!(GeneratedBenchmark::read_json(corrupted.as_bytes()).is_err());
         assert!(GeneratedBenchmark::read_json(&b"not json"[..]).is_err());
+    }
+
+    #[test]
+    fn ordered_map_matches_a_sequential_map_for_any_thread_count() {
+        // 0 items, 1 item, fewer items than threads, and lengths that leave
+        // the last chunk shorter than the others.
+        for len in [0usize, 1, 2, 5, 7, 9, 64, 1023] {
+            let items: Vec<u64> = (0..len as u64).map(|i| i * 31 + 7).collect();
+            let expected: Vec<(u64, u64)> = items.iter().map(|&v| (v, v * v)).collect();
+            for threads in [1usize, 2, 3, 8] {
+                let got = ordered_map(&items, threads, |&v| (v, v * v));
+                assert_eq!(got, expected, "{len} items on {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_map_runs_the_first_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..7).collect();
+        // Chunks of 3: items 0..3 on the caller, 3..6 and 6..7 on workers.
+        let on_caller = ordered_map(&items, 3, |_| std::thread::current().id() == caller);
+        assert_eq!(on_caller, [true, true, true, false, false, false, false]);
+    }
+
+    #[test]
+    fn ordered_map_workers_inherit_the_callers_silence() {
+        let items: Vec<usize> = (0..8).collect();
+        let loud = ordered_map(&items, 4, |_| telemetry::thread_is_silenced());
+        assert!(loud.iter().all(|&silenced| !silenced));
+        let _mute = telemetry::silence_thread();
+        let quiet = ordered_map(&items, 4, |_| telemetry::thread_is_silenced());
+        assert!(quiet.iter().all(|&silenced| silenced));
+    }
+
+    #[test]
+    fn ordered_map_workers_inherit_the_callers_trace_context() {
+        telemetry::trace::enable();
+        {
+            let _outer = telemetry::span("test.ordered_map.outer");
+            let items: Vec<usize> = (0..4).collect();
+            ordered_map(&items, 2, |_| {
+                let _item = telemetry::span("test.ordered_map.item");
+            });
+        }
+        let records = telemetry::trace::drain_records();
+        let outer = records
+            .iter()
+            .find(|r| r.name == "test.ordered_map.outer")
+            .expect("outer span traced");
+        let items: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "test.ordered_map.item")
+            .collect();
+        // Two items ran on the caller and two on the worker; all four parent
+        // onto the caller's open span, on the caller's track.
+        assert_eq!(items.len(), 4);
+        assert!(items
+            .iter()
+            .all(|r| r.parent == outer.id && r.track == outer.track));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5")]
+    fn ordered_map_propagates_worker_panics() {
+        let items: Vec<usize> = (0..8).collect();
+        let _ = ordered_map(&items, 2, |&i| {
+            assert!(i != 5, "item {i}");
+            i
+        });
     }
 
     #[test]

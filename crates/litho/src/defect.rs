@@ -64,10 +64,19 @@ pub(crate) fn find_defects(
     core: Rect,
     config: &LithoConfig,
 ) -> Vec<Defect> {
+    record_defect_kernel(target.bits().len());
     let mut defects = Vec::new();
     find_pinches(target, printed, mask, core, config, &mut defects);
     find_bridges(target, printed, mask, core, config, &mut defects);
     defects
+}
+
+/// Books one defect check into the `kernel.defect.*` counters: one call
+/// and the clip's pixel count per analysed clip.
+fn record_defect_kernel(pixels: usize) {
+    use hotspot_telemetry::{counter, names};
+    counter(names::KERNEL_DEFECT_CALLS).incr();
+    counter(names::KERNEL_DEFECT_ELEMENTS).add(pixels as u64);
 }
 
 fn find_pinches(

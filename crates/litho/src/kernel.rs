@@ -80,16 +80,20 @@ impl GaussianKernel {
                 tmp[base + col] = acc;
             }
         }
-        // Vertical pass.
-        for col in 0..width {
-            for row in 0..height {
-                let mut acc = 0.0f32;
-                for (ti, &t) in self.taps.iter().enumerate() {
-                    let offset = ti as isize - r;
-                    let rr = (row as isize + offset).clamp(0, height as isize - 1) as usize;
-                    acc += t * tmp[rr * width + col];
+        // Vertical pass, row-major: each output row accumulates whole
+        // (clamped) `tmp` rows tap by tap. Every pixel still sums its taps
+        // in ascending order starting from 0.0, so the result is
+        // bit-identical to a per-pixel column walk.
+        for row in 0..height {
+            let out = &mut dst[row * width..(row + 1) * width];
+            out.fill(0.0);
+            for (ti, &t) in self.taps.iter().enumerate() {
+                let offset = ti as isize - r;
+                let rr = (row as isize + offset).clamp(0, height as isize - 1) as usize;
+                let src_row = &tmp[rr * width..(rr + 1) * width];
+                for (acc, &v) in out.iter_mut().zip(src_row) {
+                    *acc += t * v;
                 }
-                dst[row * width + col] = acc;
             }
         }
     }
@@ -112,6 +116,72 @@ fn record_aerial_kernel(taps: usize, width: usize, height: usize) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+
+    /// The column-major vertical pass `convolve_2d` used before it went
+    /// row-major: one pixel at a time, walking down each column. Kept as
+    /// the bit-exact reference for the production loop.
+    fn convolve_2d_reference(
+        k: &GaussianKernel,
+        src: &[f32],
+        width: usize,
+        height: usize,
+    ) -> Vec<f32> {
+        let r = k.radius() as isize;
+        let mut tmp = vec![0.0f32; src.len()];
+        for row in 0..height {
+            let base = row * width;
+            for col in 0..width {
+                let mut acc = 0.0f32;
+                for (ti, &t) in k.taps().iter().enumerate() {
+                    let c = (col as isize + ti as isize - r).clamp(0, width as isize - 1) as usize;
+                    acc += t * src[base + c];
+                }
+                tmp[base + col] = acc;
+            }
+        }
+        let mut dst = vec![0.0f32; src.len()];
+        for col in 0..width {
+            for row in 0..height {
+                let mut acc = 0.0f32;
+                for (ti, &t) in k.taps().iter().enumerate() {
+                    let rr =
+                        (row as isize + ti as isize - r).clamp(0, height as isize - 1) as usize;
+                    acc += t * tmp[rr * width + col];
+                }
+                dst[row * width + col] = acc;
+            }
+        }
+        dst
+    }
+
+    /// Asserts `convolve_2d` matches the reference bit for bit on a seeded
+    /// image with values of both signs.
+    fn assert_matches_reference(sigma: f64, width: usize, height: usize, seed: u64) {
+        let k = GaussianKernel::new(sigma);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let src: Vec<f32> = (0..width * height)
+            .map(|_| rng.gen_range(-1.0f32..2.0))
+            .collect();
+        let mut dst = vec![f32::NAN; src.len()];
+        k.convolve_2d(&src, &mut dst, width, height);
+        let expected = convolve_2d_reference(&k, &src, width, height);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(
+            bits(&dst),
+            bits(&expected),
+            "sigma {sigma}, {width}x{height}, seed {seed}"
+        );
+    }
+
+    #[test]
+    fn images_smaller_than_the_radius_match_the_reference() {
+        // Radius 12: every pixel of these images reads only clamped borders.
+        for (width, height) in [(1, 1), (1, 7), (5, 1), (3, 11), (11, 4), (0, 3), (3, 0)] {
+            assert_matches_reference(4.0, width, height, 7);
+        }
+    }
 
     #[test]
     fn taps_are_normalized_and_symmetric() {
@@ -168,6 +238,16 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_row_major_pass_is_bit_identical_to_the_column_reference(
+            width in 1usize..48,
+            height in 1usize..48,
+            sigma in 0.2f64..5.0,
+            seed in any::<u64>(),
+        ) {
+            assert_matches_reference(sigma, width, height, seed);
+        }
+
         #[test]
         fn prop_convolution_preserves_bounds(values in proptest::collection::vec(0.0f32..1.0, 64)) {
             let k = GaussianKernel::new(1.2);

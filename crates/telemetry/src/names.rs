@@ -185,6 +185,13 @@ pub const KERNEL_AERIAL_FLOPS: &str = "kernel.aerial.flops";
 /// Bytes moved through the aerial convolution kernel.
 pub const KERNEL_AERIAL_BYTES: &str = "kernel.aerial.bytes";
 
+/// Invocations of the printed-contour defect check (`hotspot-litho`), one
+/// per analysed clip: the pinch and bridge connected-component scans.
+pub const KERNEL_DEFECT_CALLS: &str = "kernel.defect.calls";
+
+/// Raster pixels scanned by the defect check (clip pixels per call).
+pub const KERNEL_DEFECT_ELEMENTS: &str = "kernel.defect.elements";
+
 /// Requests accepted by the `hotspot-serve` HTTP loop (every route).
 /// `serve.*` metrics live in the serving process's own registry and are
 /// operational telemetry, never canonical run output — the whole prefix is
@@ -334,6 +341,8 @@ pub const ALL: &[&str] = &[
     KERNEL_AERIAL_ELEMENTS,
     KERNEL_AERIAL_FLOPS,
     KERNEL_AERIAL_BYTES,
+    KERNEL_DEFECT_CALLS,
+    KERNEL_DEFECT_ELEMENTS,
     SERVE_HTTP_REQUESTS,
     SERVE_HTTP_ERRORS,
     SERVE_SCORE_REQUESTS,

@@ -62,6 +62,16 @@ pub struct TraceRecord {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceHandoff {
     parent: u64,
+    track: u64,
+}
+
+impl TraceHandoff {
+    /// The spawning thread's track, for helpers that run a slice of the
+    /// spawner's own work and should appear on its track rather than on a
+    /// shard track of their own.
+    pub fn track(&self) -> u64 {
+        self.track
+    }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -126,6 +136,7 @@ pub fn handoff() -> Option<TraceHandoff> {
     BUFFER.with(|buffer| {
         buffer.borrow().as_ref().map(|b| TraceHandoff {
             parent: b.stack.last().copied().unwrap_or(b.root_parent),
+            track: b.track,
         })
     })
 }
@@ -380,6 +391,21 @@ mod tests {
             let outer = records.iter().find(|r| r.name == "tr_coord").unwrap();
             assert_eq!(coord_id, outer.id);
             assert!(records.iter().any(|r| r.name == "tr_worker"));
+        });
+    }
+
+    #[test]
+    fn handoff_carries_the_spawners_track() {
+        with_tracer(|| {
+            let token = handoff();
+            assert_eq!(token.map(|h| h.track()), Some(0));
+            let nested = std::thread::spawn(move || {
+                let _guard = adopt(token, 4);
+                handoff().map(|h| h.track())
+            })
+            .join()
+            .unwrap();
+            assert_eq!(nested, Some(4));
         });
     }
 
