@@ -24,11 +24,8 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    run_active_method, run_active_method_checkpointed, run_active_method_faulty,
-    run_active_method_faulty_checkpointed, run_active_method_faulty_sharded,
-    run_active_method_faulty_sharded_checkpointed, run_active_method_sharded,
-    run_active_method_sharded_checkpointed, try_generate, write_json, ActiveMethod,
-    CheckpointedSequence, ExperimentArgs, FaultyMethodResult, ShardSpec,
+    faulty_method_result, method_result, run, try_generate, write_json, ActiveMethod,
+    CheckpointedSequence, ExperimentArgs, FaultyMethodResult, RunPlan, ShardSpec,
 };
 use hotspot_layout::BenchmarkSpec;
 use hotspot_litho::FaultRates;
@@ -54,23 +51,12 @@ fn main() {
     let mut sequence = CheckpointedSequence::from_args(&args);
     let shard = ShardSpec::from_args(&args);
 
-    let baseline = match (sequence.as_mut(), shard.as_ref()) {
-        (Some(seq), Some(spec)) => run_active_method_sharded_checkpointed(
-            ActiveMethod::Ours,
-            &bench,
-            &config,
-            args.seed,
-            spec,
-            seq,
-        ),
-        (Some(seq), None) => {
-            run_active_method_checkpointed(ActiveMethod::Ours, &bench, &config, args.seed, seq)
-        }
-        (None, Some(spec)) => {
-            run_active_method_sharded(ActiveMethod::Ours, &bench, &config, args.seed, spec)
-        }
-        (None, None) => run_active_method(ActiveMethod::Ours, &bench, &config, args.seed),
-    };
+    let plan = ours_plan(&args, None, &shard);
+    let baseline = method_result(
+        &plan,
+        &bench,
+        &run(&bench, &config, &plan, sequence.as_mut()),
+    );
     println!(
         "baseline ({}): acc {:.2}%  litho {}",
         bench.spec().name,
@@ -90,7 +76,7 @@ fn main() {
             let r = run_faulty(
                 &bench,
                 &config,
-                args.seed,
+                &args,
                 FaultRates::transient_only(transient),
                 1,
                 &mut sequence,
@@ -119,48 +105,33 @@ fn main() {
     args.finish_telemetry();
 }
 
+/// One run of the entropy sampler with the binary's seed and shard layout.
+fn ours_plan(
+    args: &ExperimentArgs,
+    faults: Option<(FaultRates, usize)>,
+    shard: &Option<ShardSpec>,
+) -> RunPlan {
+    RunPlan {
+        method: ActiveMethod::Ours,
+        seed: args.seed,
+        repeats: 1,
+        faults,
+        shard: shard.clone(),
+    }
+}
+
 fn run_faulty(
     bench: &hotspot_layout::GeneratedBenchmark,
     config: &SamplingConfig,
-    seed: u64,
+    args: &ExperimentArgs,
     rates: FaultRates,
     quorum: usize,
     sequence: &mut Option<CheckpointedSequence>,
     shard: &Option<ShardSpec>,
 ) -> FaultyMethodResult {
-    match (sequence.as_mut(), shard.as_ref()) {
-        (Some(seq), Some(spec)) => run_active_method_faulty_sharded_checkpointed(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            spec,
-            seq,
-        ),
-        (Some(seq), None) => run_active_method_faulty_checkpointed(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            seq,
-        ),
-        (None, Some(spec)) => run_active_method_faulty_sharded(
-            ActiveMethod::Ours,
-            bench,
-            config,
-            seed,
-            rates,
-            quorum,
-            spec,
-        ),
-        (None, None) => {
-            run_active_method_faulty(ActiveMethod::Ours, bench, config, seed, rates, quorum)
-        }
-    }
+    let plan = ours_plan(args, Some((rates, quorum)), shard);
+    let records = run(bench, config, &plan, sequence.as_mut());
+    faulty_method_result(&plan, bench, &records[0])
 }
 
 fn flip_sweep(
@@ -189,7 +160,7 @@ fn flip_sweep(
             let r = run_faulty(
                 bench,
                 config,
-                args.seed,
+                args,
                 FaultRates {
                     flip,
                     ..FaultRates::default()

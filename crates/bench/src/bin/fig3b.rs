@@ -3,8 +3,7 @@
 //! The paper reports 153.97 vs 8.28 (×10⁻⁴ s) per diversity evaluation. This
 //! binary measures both on the same query set: the paper's metric is a
 //! single O(n²·d) min-distance pass; the QP baseline must build the n × n
-//! similarity matrix *and* run the projected-gradient solve. A Criterion
-//! micro-benchmark of the same comparison lives in `benches/diversity.rs`.
+//! similarity matrix *and* run the projected-gradient solve.
 
 use hotspot_active::{diversity_scores, HotspotModel};
 use hotspot_baselines::QpSelector;

@@ -6,7 +6,7 @@
 //! beat every fixed setting on both criteria.
 
 use hotspot_active::{SamplingConfig, WeightMode};
-use hotspot_bench::{run_active_method, try_generate, write_json, ActiveMethod, ExperimentArgs};
+use hotspot_bench::{run, try_generate, write_json, ActiveMethod, ExperimentArgs, RunPlan};
 use hotspot_layout::BenchmarkSpec;
 use serde::Serialize;
 
@@ -41,18 +41,19 @@ fn main() {
         spec.name, args.repeats
     );
     println!("{:>6} {:>10} {:>12}", "w2", "Acc(%)", "Litho#");
+    let plan = RunPlan {
+        method: ActiveMethod::Ours,
+        seed: args.seed,
+        repeats: args.repeats,
+        faults: None,
+        shard: None,
+    };
     let mut results = Vec::new();
     for (name, mode) in settings {
         let mut config = base.clone();
         config.weight_mode = mode;
         let (mut acc, mut litho) = (0.0f64, 0.0f64);
-        for repeat in 0..args.repeats {
-            let r = run_active_method(
-                ActiveMethod::Ours,
-                &bench,
-                &config,
-                args.seed + repeat as u64,
-            );
+        for r in run(&bench, &config, &plan, None) {
             acc += r.accuracy;
             litho += r.litho as f64;
         }

@@ -36,10 +36,8 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    render_table, run_active_method_avg, run_active_method_avg_checkpointed,
-    run_active_method_avg_sharded, run_active_method_avg_sharded_checkpointed, try_generate,
-    write_json, ActiveMethod, CheckpointedSequence, ExperimentArgs, MethodResult, ShardSpec,
-    TableRow,
+    method_result, render_table, run, try_generate, write_json, ActiveMethod, CheckpointedSequence,
+    ExperimentArgs, MethodResult, RunPlan, ShardSpec, TableRow,
 };
 use hotspot_layout::BenchmarkSpec;
 
@@ -60,33 +58,19 @@ fn main() {
     let shard = ShardSpec::from_args(&args);
     let mut results: Vec<MethodResult> = METHODS
         .iter()
-        .map(|&method| match (sequence.as_mut(), shard.as_ref()) {
-            (Some(seq), Some(spec)) => run_active_method_avg_sharded_checkpointed(
+        .map(|&method| {
+            let plan = RunPlan {
                 method,
+                seed: args.seed,
+                repeats: args.repeats,
+                faults: None,
+                shard: shard.clone(),
+            };
+            method_result(
+                &plan,
                 &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                spec,
-                seq,
-            ),
-            (Some(seq), None) => run_active_method_avg_checkpointed(
-                method,
-                &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                seq,
-            ),
-            (None, Some(spec)) => run_active_method_avg_sharded(
-                method,
-                &bench,
-                &config,
-                args.seed,
-                args.repeats,
-                spec,
-            ),
-            (None, None) => run_active_method_avg(method, &bench, &config, args.seed, args.repeats),
+                &run(&bench, &config, &plan, sequence.as_mut()),
+            )
         })
         .collect();
 
@@ -95,18 +79,21 @@ fn main() {
     // worker-count-invariant, so only the wall-time column carries new
     // information — exactly what the gate's `--tolerance-time` mode reads.
     for &workers in &args.workers_sweep {
-        let spec = ShardSpec {
-            workers,
-            kill: None,
-            dir: None,
+        let plan = RunPlan {
+            method: ActiveMethod::Ours,
+            seed: args.seed,
+            repeats: args.repeats,
+            faults: None,
+            shard: Some(ShardSpec {
+                workers,
+                kill: None,
+                dir: None,
+            }),
         };
-        results.push(run_active_method_avg_sharded(
-            ActiveMethod::Ours,
+        results.push(method_result(
+            &plan,
             &bench,
-            &config,
-            args.seed,
-            args.repeats,
-            &spec,
+            &run(&bench, &config, &plan, None),
         ));
     }
 

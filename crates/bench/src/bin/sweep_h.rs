@@ -9,7 +9,7 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    run_active_method_avg, try_generate, write_json, ActiveMethod, ExperimentArgs,
+    method_result, run, try_generate, write_json, ActiveMethod, ExperimentArgs, RunPlan,
 };
 use hotspot_layout::BenchmarkSpec;
 use serde::Serialize;
@@ -26,6 +26,13 @@ fn main() {
     let spec = BenchmarkSpec::iccad16_3().scaled(args.scale.max(0.25));
     let bench = try_generate(&spec, args.seed).expect("benchmark generation succeeds");
     let base = SamplingConfig::for_benchmark(bench.len());
+    let plan = RunPlan {
+        method: ActiveMethod::Ours,
+        seed: args.seed,
+        repeats: args.repeats,
+        faults: None,
+        shard: None,
+    };
 
     println!(
         "Sweep of the Eq. 6 decision boundary h on {} ({} repeats; paper fixes h = 0.4)",
@@ -37,8 +44,7 @@ fn main() {
         let mut config = base.clone();
         config.boundary_h = h;
         config.detect_threshold = h;
-        let result =
-            run_active_method_avg(ActiveMethod::Ours, &bench, &config, args.seed, args.repeats);
+        let result = method_result(&plan, &bench, &run(&bench, &config, &plan, None));
         println!(
             "{:>6.2} {:>10.2} {:>12}",
             h,

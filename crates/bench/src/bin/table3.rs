@@ -7,8 +7,8 @@
 
 use hotspot_active::SamplingConfig;
 use hotspot_bench::{
-    evaluated_specs, ratio_row, render_table, run_active_method_avg, try_generate, write_json,
-    ActiveMethod, ExperimentArgs, MethodResult, TableRow,
+    evaluated_specs, method_result, ratio_row, render_table, run, try_generate, write_json,
+    ActiveMethod, ExperimentArgs, MethodResult, RunPlan, TableRow,
 };
 
 const COLUMNS: [&str; 4] = ["w/o.E", "w/o.D", "w/o.U", "Full"];
@@ -28,10 +28,16 @@ fn main() {
             ("w/o.U", base.clone().without_uncertainty()),
             ("Full", base.clone()),
         ];
+        let plan = RunPlan {
+            method: ActiveMethod::Ours,
+            seed: args.seed,
+            repeats: args.repeats,
+            faults: None,
+            shard: None,
+        };
         let mut cells = Vec::new();
         for (name, config) in variants {
-            let result =
-                run_active_method_avg(ActiveMethod::Ours, &bench, &config, args.seed, args.repeats);
+            let result = method_result(&plan, &bench, &run(&bench, &config, &plan, None));
             hotspot_telemetry::info(
                 "bench.table3",
                 "ablation variant finished",

@@ -224,6 +224,9 @@ impl ExperimentArgs {
                             .parse()
                             .map_err(|e| format!("bad --crash-after-checkpoints: {e}"))?,
                     );
+                    if out.crash_after_checkpoints == Some(0) {
+                        return Err("--crash-after-checkpoints must be positive".to_owned());
+                    }
                 }
                 "--workers" => {
                     out.workers = Some(
@@ -496,6 +499,10 @@ mod tests {
         assert!(parse(&["--checkpoint-every", "0"]).is_err());
         assert!(parse(&["--resume"]).is_err(), "--resume needs a dir");
         assert!(parse(&["--crash-after-checkpoints", "1"]).is_err());
+        assert!(
+            parse(&["--checkpoint-dir", "d", "--crash-after-checkpoints", "0"]).is_err(),
+            "a crash after zero saves would never fire"
+        );
     }
 
     #[test]

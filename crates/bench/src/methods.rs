@@ -4,17 +4,20 @@ use hotspot_active::{
 };
 use hotspot_baselines::{PatternMatcher, QpSelector};
 use hotspot_layout::GeneratedBenchmark;
-use hotspot_litho::{FaultRates, FaultyOracle, RetryOracle, RetryPolicy, VirtualClock};
+use hotspot_litho::{
+    FaultRates, FaultyOracle, LithoOracle, RetryOracle, RetryPolicy, VirtualClock,
+};
 use hotspot_shard::{KillSpec, ShardConfig, ShardedOracle};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use crate::checkpoint::{CheckpointedSequence, RunRecord};
 use crate::cli::ExperimentArgs;
 
 /// How a sharded run fans its labelling batches out — built from
 /// `--workers` / `--kill-shard` / `--checkpoint-dir` by
-/// [`ShardSpec::from_args`] and threaded into the `_sharded` runners. The
+/// [`ShardSpec::from_args`] and carried by [`RunPlan::shard`]. The
 /// merged labels, Litho#, and canonical journal are byte-identical for
 /// every worker count and for any chaos the recovery path absorbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,133 +126,134 @@ mod duration_secs {
     }
 }
 
-/// Runs a learning-based method on a benchmark.
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration (the harness is
-/// expected to pass consistent sizes).
-pub fn run_active_method(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-) -> MethodResult {
-    run_active_method_hooked(method, bench, config, seed, &mut NoCheckpoint)
+/// One harness run, fully described: which sampler, the seed of the first
+/// repeat, how many repeats (repeat `i` runs with `seed + i`), and the
+/// optional oracle layers. Every table and figure binary builds one and
+/// hands it to [`run`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunPlan {
+    /// The batch sampler under test.
+    pub method: ActiveMethod,
+    /// Seed of the first repeat.
+    pub seed: u64,
+    /// Number of repeats with consecutive seeds; must be positive.
+    pub repeats: usize,
+    /// Fault injection behind the retry/backoff layer (virtual clock — no
+    /// wall-clock sleeps): the injected rates and the quorum votes per
+    /// label (`1` = no quorum). `None` queries the bare metered oracle.
+    pub faults: Option<(FaultRates, usize)>,
+    /// Shard every labelling batch across oracle worker threads. The merged
+    /// labels, Litho# and canonical journal equal the unsharded run's.
+    pub shard: Option<ShardSpec>,
 }
 
-/// [`run_active_method`] with durable-run support: the hook receives a
-/// checkpoint at each iteration boundary and may supply one to resume from.
+/// Executes every repeat of `plan` and returns one record per repeat, in
+/// repeat order. With a `seq`, each repeat is one durable run of the
+/// checkpointed sequence (replayed from the record on resume); without,
+/// runs are not checkpointed.
 ///
 /// # Panics
 ///
-/// Panics when the framework rejects the configuration or the checkpoint.
-pub fn run_active_method_hooked(
-    method: ActiveMethod,
+/// Panics when `plan.repeats == 0`, the fault rates are invalid, or the
+/// framework rejects the configuration or a checkpoint (the harness passes
+/// validated ones).
+pub fn run(
     bench: &GeneratedBenchmark,
     config: &SamplingConfig,
+    plan: &RunPlan,
+    mut seq: Option<&mut CheckpointedSequence>,
+) -> Vec<RunRecord> {
+    assert!(plan.repeats > 0, "repeats must be positive");
+    (0..plan.repeats as u64)
+        .map(|repeat| {
+            let seed = plan.seed + repeat;
+            match seq.as_deref_mut() {
+                Some(seq) => seq.next_run(|hook| run_once(bench, config, plan, seed, hook)),
+                None => run_once(bench, config, plan, seed, &mut NoCheckpoint),
+            }
+        })
+        .collect()
+}
+
+fn run_once(
+    bench: &GeneratedBenchmark,
+    config: &SamplingConfig,
+    plan: &RunPlan,
     seed: u64,
     hook: &mut dyn CheckpointHook,
-) -> MethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut bench.oracle(), hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("framework run succeeds");
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        elapsed: outcome.elapsed,
-        workers: None,
+) -> RunRecord {
+    match plan.faults {
+        // The fault-free stack stays the bare metered oracle: a zero-rate
+        // retry layer would add events to the journal.
+        None => run_stack(bench, config, plan, seed, hook, |_jitter_seed| {
+            bench.oracle()
+        }),
+        Some((rates, quorum)) => run_stack(bench, config, plan, seed, hook, move |jitter_seed| {
+            let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
+            let policy = RetryPolicy {
+                seed: jitter_seed,
+                ..RetryPolicy::default()
+            };
+            let mut oracle = RetryOracle::with_clock(flaky, policy, VirtualClock::new());
+            if quorum > 1 {
+                oracle = oracle.with_quorum(quorum);
+            }
+            oracle
+        }),
     }
 }
 
-/// Runs a learning-based method `repeats` times with consecutive seeds and
-/// returns the mean accuracy / litho / time under the method's label —
-/// CNN-style detectors are initialisation-sensitive, so the paper's tables
-/// are read as averages.
-///
-/// # Panics
-///
-/// Panics when `repeats == 0` or the framework rejects the configuration.
-pub fn run_active_method_avg(
-    method: ActiveMethod,
+/// Runs one repeat over the oracle `stack` builds. The master copy takes
+/// the default retry-jitter seed; sharded workers each rebuild the stack
+/// with a jitter seed from the coordinator's split streams and restore it
+/// from the master's snapshot. Jitter shapes backoff sleeps only, so the
+/// merged run equals the unsharded one label for label and bill for bill.
+fn run_stack<O: LithoOracle + Send + 'static>(
     bench: &GeneratedBenchmark,
     config: &SamplingConfig,
+    plan: &RunPlan,
     seed: u64,
-    repeats: usize,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let r = run_active_method(method, bench, config, seed + repeat as u64);
-        acc += r.accuracy;
-        litho += r.litho as f64;
-        secs += r.elapsed.as_secs_f64();
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: None,
-    }
-}
-
-/// [`run_active_method`] with the labelling batches sharded across
-/// `spec.workers` oracle threads (see [`hotspot_shard::ShardedOracle`]).
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration.
-pub fn run_active_method_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    spec: &ShardSpec,
-) -> MethodResult {
-    run_active_method_sharded_hooked(method, bench, config, seed, spec, &mut NoCheckpoint)
-}
-
-/// [`run_active_method_sharded`] with durable-run support.
-///
-/// # Panics
-///
-/// Panics when the framework rejects the configuration or the checkpoint.
-pub fn run_active_method_sharded_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    spec: &ShardSpec,
     hook: &mut dyn CheckpointHook,
-) -> MethodResult {
+    stack: impl Fn(u64) -> O,
+) -> RunRecord {
     let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    // The plain metered oracle carries no jitter stream: workers only need
-    // fresh instances sharing the benchmark's ground truth.
-    let mut oracle = ShardedOracle::new(
-        bench.oracle(),
-        move |_shard, _jitter_seed| bench.oracle(),
-        spec.config(seed),
-    );
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("sharded framework run succeeds");
+    let mut selector = plan.method.selector();
+    let mut master = stack(RetryPolicy::default().seed);
+    let mut sharded;
+    let oracle: &mut dyn LithoOracle = match &plan.shard {
+        Some(spec) => {
+            sharded = ShardedOracle::new(
+                master,
+                |_shard, jitter_seed| stack(jitter_seed),
+                spec.config(seed),
+            );
+            &mut sharded
+        }
+        None => &mut master,
+    };
+    let outcome =
+        framework.run_with_oracle_checkpointed(bench, selector.as_mut(), seed, oracle, hook);
+    // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
+    RunRecord::from(&outcome.expect("framework run succeeds"))
+}
+
+/// The [`MethodResult`] row of `plan`'s records: the mean accuracy, Litho#
+/// (rounded) and time over the repeats — CNN-style detectors are
+/// initialisation-sensitive, so the paper's tables are read as averages.
+pub fn method_result(
+    plan: &RunPlan,
+    bench: &GeneratedBenchmark,
+    records: &[RunRecord],
+) -> MethodResult {
+    let n = records.len() as f64;
+    let mean = |field: fn(&RunRecord) -> f64| records.iter().map(field).sum::<f64>() / n;
     MethodResult {
-        method: method.label().to_owned(),
+        method: plan.method.label().to_owned(),
         benchmark: bench.spec().name.clone(),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        elapsed: outcome.elapsed,
-        workers: Some(spec.workers),
+        accuracy: mean(|r| r.accuracy),
+        litho: mean(|r| r.litho as f64).round() as usize,
+        elapsed: Duration::from_secs_f64(mean(|r| r.secs)),
+        workers: plan.shard.as_ref().map(|spec| spec.workers),
     }
 }
 
@@ -283,199 +287,27 @@ pub struct FaultyMethodResult {
     pub degraded: bool,
 }
 
-/// Runs a learning-based method on a benchmark through a fault-injecting
-/// oracle wrapped in retry/backoff (virtual clock — no wall-clock sleeps)
-/// and, when `quorum > 1`, quorum re-labelling.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration.
-pub fn run_active_method_faulty(
-    method: ActiveMethod,
+/// The [`FaultyMethodResult`] cell of one of `plan`'s records; a fault-free
+/// plan reads as zero rates without quorum.
+pub fn faulty_method_result(
+    plan: &RunPlan,
     bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
+    record: &RunRecord,
 ) -> FaultyMethodResult {
-    run_active_method_faulty_hooked(
-        method,
-        bench,
-        config,
-        seed,
-        rates,
-        quorum,
-        &mut NoCheckpoint,
-    )
-}
-
-/// [`run_active_method_faulty`] with durable-run support — the fault
-/// schedule is a pure function of (seed, clip, attempt) and the fault/retry
-/// meters ride along in the checkpoint, so a resumed faulty run reproduces
-/// the uninterrupted one exactly.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration or the checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    hook: &mut dyn CheckpointHook,
-) -> FaultyMethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
-    let mut oracle = RetryOracle::with_clock(flaky, RetryPolicy::default(), VirtualClock::new());
-    if quorum > 1 {
-        oracle = oracle.with_quorum(quorum);
-    }
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("degradation-aware framework run succeeds");
+    let (rates, quorum) = plan.faults.unwrap_or((FaultRates::default(), 1));
     FaultyMethodResult {
-        method: method.label().to_owned(),
+        method: plan.method.label().to_owned(),
         benchmark: bench.spec().name.clone(),
         transient: rates.transient,
         flip: rates.flip,
         quorum: quorum.max(1),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        extra_simulations: outcome.metrics.extra_simulations,
-        retries: outcome.fault_stats.oracle_retries,
-        giveups: outcome.fault_stats.oracle_giveups,
-        label_failures: outcome.fault_stats.label_failures,
-        degraded: outcome.degraded,
-    }
-}
-
-/// [`run_active_method_avg`] with sharded labelling: each repeat fans its
-/// batches across `spec.workers` oracle threads.
-///
-/// # Panics
-///
-/// Panics when `repeats == 0` or the framework rejects the configuration.
-pub fn run_active_method_avg_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    repeats: usize,
-    spec: &ShardSpec,
-) -> MethodResult {
-    assert!(repeats > 0, "repeats must be positive");
-    let (mut acc, mut litho, mut secs) = (0.0f64, 0.0f64, 0.0f64);
-    for repeat in 0..repeats {
-        let r = run_active_method_sharded(method, bench, config, seed + repeat as u64, spec);
-        acc += r.accuracy;
-        litho += r.litho as f64;
-        secs += r.elapsed.as_secs_f64();
-    }
-    let n = repeats as f64;
-    MethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        accuracy: acc / n,
-        litho: (litho / n).round() as usize,
-        elapsed: Duration::from_secs_f64(secs / n),
-        workers: Some(spec.workers),
-    }
-}
-
-/// [`run_active_method_faulty`] with the labelling batches sharded across
-/// `spec.workers` oracle threads. Each worker rebuilds the whole
-/// retry/quorum/fault stack over a fresh metered oracle and restores it
-/// from the master's snapshot; per-worker retry-jitter seeds come from the
-/// coordinator's split ChaCha streams and shape backoff sleeps only, so the
-/// merged run equals the single-threaded one label for label and bill for
-/// bill.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration.
-pub fn run_active_method_faulty_sharded(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    spec: &ShardSpec,
-) -> FaultyMethodResult {
-    run_active_method_faulty_sharded_hooked(
-        method,
-        bench,
-        config,
-        seed,
-        rates,
-        quorum,
-        spec,
-        &mut NoCheckpoint,
-    )
-}
-
-/// [`run_active_method_faulty_sharded`] with durable-run support.
-///
-/// # Panics
-///
-/// Panics when the rates are invalid or the framework rejects the
-/// configuration or the checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_active_method_faulty_sharded_hooked(
-    method: ActiveMethod,
-    bench: &GeneratedBenchmark,
-    config: &SamplingConfig,
-    seed: u64,
-    rates: FaultRates,
-    quorum: usize,
-    spec: &ShardSpec,
-    hook: &mut dyn CheckpointHook,
-) -> FaultyMethodResult {
-    let framework = SamplingFramework::new(config.clone());
-    let mut selector = method.selector();
-    let stack = move |jitter_seed: u64| {
-        let flaky = FaultyOracle::new(bench.oracle(), rates, seed ^ 0xfa17_fa17);
-        let policy = RetryPolicy {
-            seed: jitter_seed,
-            ..RetryPolicy::default()
-        };
-        let mut oracle = RetryOracle::with_clock(flaky, policy, VirtualClock::new());
-        if quorum > 1 {
-            oracle = oracle.with_quorum(quorum);
-        }
-        oracle
-    };
-    let master = stack(RetryPolicy::default().seed);
-    let mut oracle = ShardedOracle::new(
-        master,
-        move |_shard, jitter_seed| stack(jitter_seed),
-        spec.config(seed),
-    );
-    let outcome = framework
-        .run_with_oracle_checkpointed(bench, selector.as_mut(), seed, &mut oracle, hook)
-        // lithohd-lint: allow(panic-safety) — documented: the harness passes validated configurations
-        .expect("sharded degradation-aware framework run succeeds");
-    FaultyMethodResult {
-        method: method.label().to_owned(),
-        benchmark: bench.spec().name.clone(),
-        transient: rates.transient,
-        flip: rates.flip,
-        quorum: quorum.max(1),
-        accuracy: outcome.metrics.accuracy,
-        litho: outcome.metrics.litho,
-        extra_simulations: outcome.metrics.extra_simulations,
-        retries: outcome.fault_stats.oracle_retries,
-        giveups: outcome.fault_stats.oracle_giveups,
-        label_failures: outcome.fault_stats.label_failures,
-        degraded: outcome.degraded,
+        accuracy: record.accuracy,
+        litho: record.litho as usize,
+        extra_simulations: record.extra_simulations as usize,
+        retries: record.retries as usize,
+        giveups: record.giveups as usize,
+        label_failures: record.label_failures as usize,
+        degraded: record.degraded,
     }
 }
 
@@ -511,20 +343,47 @@ mod tests {
         GeneratedBenchmark::generate(&spec, 4).unwrap()
     }
 
-    #[test]
-    fn all_active_methods_run() {
-        let b = bench();
+    fn config(b: &GeneratedBenchmark) -> SamplingConfig {
         let mut config = SamplingConfig::for_benchmark(b.len());
         config.iterations = 2;
         config.initial_epochs = 20;
         config.update_epochs = 5;
+        config
+    }
+
+    fn plan(faults: Option<(FaultRates, usize)>, shard: Option<ShardSpec>) -> RunPlan {
+        RunPlan {
+            method: ActiveMethod::Ours,
+            seed: 1,
+            repeats: 1,
+            faults,
+            shard,
+        }
+    }
+
+    fn flaky() -> FaultRates {
+        FaultRates {
+            transient: 0.2,
+            flip: 0.02,
+            ..FaultRates::default()
+        }
+    }
+
+    #[test]
+    fn all_active_methods_run() {
+        let b = bench();
+        let config = config(&b);
         for method in [
             ActiveMethod::Ours,
             ActiveMethod::Ts,
             ActiveMethod::Qp,
             ActiveMethod::Random,
         ] {
-            let result = run_active_method(method, &b, &config, 1);
+            let plan = RunPlan {
+                method,
+                ..plan(None, None)
+            };
+            let result = method_result(&plan, &b, &run(&b, &config, &plan, None));
             assert_eq!(result.method, method.label());
             assert!(result.accuracy > 0.0);
             assert!(result.litho > 0);
@@ -534,91 +393,121 @@ mod tests {
     #[test]
     fn faulty_method_runs_and_accounts() {
         let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
-        let rates = FaultRates {
-            transient: 0.2,
-            flip: 0.02,
-            ..FaultRates::default()
-        };
-        let r = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
+        let config = config(&b);
+        let plan = plan(Some((flaky(), 3)), None);
+        let cell = || faulty_method_result(&plan, &b, &run(&b, &config, &plan, None)[0]);
+        let r = cell();
         assert!(r.litho > 0);
         assert_eq!(r.quorum, 3);
         assert!(r.retries > 0, "20% transient should force retries");
         assert!(r.extra_simulations > 0, "quorum votes should bill");
         // The same seed reproduces the same degraded run bit-for-bit.
-        let again = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
-        assert_eq!(r, again);
+        assert_eq!(r, cell());
     }
 
+    /// Every plan axis in one table: {no faults, flaky oracle with quorum}
+    /// × {unsharded, 1 worker, 3 workers, 3 workers with a killed shard} ×
+    /// {no sequence, checkpointed}. The plans come from the binaries' own
+    /// flags, and every cell's records (two repeats) must equal its row's
+    /// plain cell, wall seconds aside.
     #[test]
     fn sharded_runs_match_sequential_outcomes() {
         let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
-
-        let sequential = run_active_method(ActiveMethod::Ours, &b, &config, 1);
-        for workers in [1, 3] {
-            let spec = ShardSpec {
-                workers,
-                kill: None,
-                dir: None,
-            };
-            let sharded = run_active_method_sharded(ActiveMethod::Ours, &b, &config, 1, &spec);
-            assert_eq!(sequential.accuracy, sharded.accuracy, "N={workers}");
-            assert_eq!(sequential.litho, sharded.litho, "N={workers}");
+        let config = config(&b);
+        let scratch =
+            std::env::temp_dir().join(format!("hotspot-bench-plan-axes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        let shard_flags: [&[&str]; 4] = [
+            &[],
+            &["--workers", "1"],
+            &["--workers", "3"],
+            &["--workers", "3", "--kill-shard", "1@2"],
+        ];
+        for (row, faults) in [None, Some((flaky(), 3))].into_iter().enumerate() {
+            let mut plain = None;
+            for (col, flags) in shard_flags.iter().enumerate() {
+                for checkpointed in [false, true] {
+                    let cell =
+                        format!("faults={faults:?} flags={flags:?} checkpointed={checkpointed}");
+                    let mut argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+                    if checkpointed {
+                        let dir = scratch.join(format!("{row}-{col}"));
+                        argv.extend(["--checkpoint-dir".to_owned(), dir.display().to_string()]);
+                    }
+                    let args = ExperimentArgs::parse(argv).unwrap();
+                    let plan = RunPlan {
+                        repeats: 2,
+                        ..plan(faults, ShardSpec::from_args(&args))
+                    };
+                    let mut seq = CheckpointedSequence::from_args(&args);
+                    assert_eq!(seq.is_some(), checkpointed, "{cell}");
+                    let records: Vec<RunRecord> = run(&b, &config, &plan, seq.as_mut())
+                        .into_iter()
+                        .map(|r| RunRecord { secs: 0.0, ..r })
+                        .collect();
+                    assert_eq!(records.len(), 2, "{cell}");
+                    assert!(records.iter().all(|r| r.litho > 0), "{cell}");
+                    assert_eq!(
+                        &records,
+                        plain.get_or_insert_with(|| records.clone()),
+                        "{cell}"
+                    );
+                }
+            }
         }
-
-        let rates = FaultRates {
-            transient: 0.2,
-            flip: 0.02,
-            ..FaultRates::default()
-        };
-        let sequential = run_active_method_faulty(ActiveMethod::Ours, &b, &config, 1, rates, 3);
-        let spec = ShardSpec {
-            workers: 3,
-            kill: None,
-            dir: None,
-        };
-        let sharded =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 3, &spec);
-        assert_eq!(sequential, sharded, "faulty stack must merge identically");
+        std::fs::remove_dir_all(&scratch).unwrap();
     }
 
     #[test]
     fn killed_worker_run_matches_the_undisturbed_one() {
         let b = bench();
-        let mut config = SamplingConfig::for_benchmark(b.len());
-        config.iterations = 2;
-        config.initial_epochs = 20;
-        config.update_epochs = 5;
+        let config = config(&b);
         let rates = FaultRates {
             transient: 0.2,
             ..FaultRates::default()
         };
-        let calm = ShardSpec {
+        let shard = |kill| ShardSpec {
             workers: 3,
-            kill: None,
+            kill,
             dir: None,
         };
-        let chaos = ShardSpec {
-            workers: 3,
-            kill: Some(KillSpec {
-                shard: 1,
-                batch: 2,
-                mode: hotspot_shard::FailureMode::Panic,
-            }),
-            dir: None,
+        let cell = |kill| {
+            let plan = plan(Some((rates, 1)), Some(shard(kill)));
+            faulty_method_result(&plan, &b, &run(&b, &config, &plan, None)[0])
         };
-        let undisturbed =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 1, &calm);
-        let murdered =
-            run_active_method_faulty_sharded(ActiveMethod::Ours, &b, &config, 1, rates, 1, &chaos);
+        let undisturbed = cell(None);
+        let murdered = cell(Some(KillSpec {
+            shard: 1,
+            batch: 2,
+            mode: hotspot_shard::FailureMode::Panic,
+        }));
         assert_eq!(undisturbed, murdered, "recovery must not change anything");
+    }
+
+    #[test]
+    fn method_result_averages_the_repeats() {
+        let b = bench();
+        let plan = plan(
+            None,
+            Some(ShardSpec {
+                workers: 2,
+                kill: None,
+                dir: None,
+            }),
+        );
+        let record = |accuracy, litho, secs| RunRecord {
+            accuracy,
+            litho,
+            secs,
+            ..RunRecord::default()
+        };
+        let row = method_result(&plan, &b, &[record(0.5, 10, 1.0), record(1.0, 11, 2.0)]);
+        assert_eq!(row.method, "Ours");
+        assert_eq!(row.benchmark, "harness");
+        assert_eq!(row.accuracy, 0.75);
+        assert_eq!(row.litho, 11, "10.5 rounds half away from zero");
+        assert_eq!(row.elapsed, Duration::from_millis(1500));
+        assert_eq!(row.workers, Some(2));
     }
 
     #[test]
