@@ -11,7 +11,7 @@
 //! metrics to the uninterrupted invocation.
 
 use hotspot_active::{ActiveError, CheckpointHook, RunCheckpoint, RunOutcome};
-use hotspot_store::{ByteReader, ByteWriter, CheckpointBundle, CheckpointStore, StoreError};
+use hotspot_store::{ByteReader, ByteWriter, DurableRun, StoreError};
 use hotspot_telemetry as telemetry;
 
 use crate::cli::{journal_sink, ExperimentArgs};
@@ -100,11 +100,10 @@ fn decode_records(bytes: &[u8]) -> Result<Vec<RunRecord>, StoreError> {
 /// [`crate::run`] call of the binary, in a fixed order.
 #[derive(Debug)]
 pub struct CheckpointedSequence {
-    store: CheckpointStore,
+    run: DurableRun,
     every: usize,
     crash_after: Option<usize>,
     saves_done: usize,
-    next_key: u64,
     completed: Vec<RunRecord>,
     inflight: Option<RunCheckpoint>,
     ordinal: usize,
@@ -116,27 +115,25 @@ impl CheckpointedSequence {
     /// checkpoint dir was given (the binary runs un-checkpointed).
     ///
     /// Must be called **after** the benchmark is regenerated and **before**
-    /// any framework run: on `--resume` it restores cumulative telemetry
-    /// (discarding the duplicate increments regeneration just made),
-    /// rewinds the run-id allocator, truncates the journal to the
-    /// checkpoint's durable position, and opens it for appending. Exits
-    /// with a message when `--resume` finds no valid checkpoint.
+    /// any framework run: on `--resume` it restores the process from the
+    /// newest valid checkpoint (discarding the duplicate telemetry
+    /// regeneration just made; see [`DurableRun::resume`]) and reopens the
+    /// journal at the checkpoint's durable position. Exits with a message
+    /// when `--resume` finds no usable checkpoint or journal.
     pub fn from_args(args: &ExperimentArgs) -> Option<Self> {
         let dir = args.checkpoint_dir.as_ref()?;
-        let store = match CheckpointStore::open(dir) {
-            Ok(store) => store,
+        let run = match DurableRun::open(dir) {
+            Ok(run) => run,
             Err(e) => {
                 eprintln!("cannot open checkpoint dir {}: {e}", dir.display());
                 std::process::exit(2);
             }
         };
-        let next_key = store.latest_key().map_or(1, |k| k + 1);
         let mut seq = CheckpointedSequence {
-            store,
+            run,
             every: args.checkpoint_every,
             crash_after: args.crash_after_checkpoints,
             saves_done: 0,
-            next_key,
             completed: Vec::new(),
             inflight: None,
             ordinal: 0,
@@ -148,41 +145,14 @@ impl CheckpointedSequence {
     }
 
     fn restore(&mut self, args: &ExperimentArgs) {
-        let (key, file) = match self.store.load_latest() {
+        let (key, bundle) = match self.run.resume() {
             Ok(Some(found)) => found,
-            Ok(None) => {
-                eprintln!(
-                    "--resume: no valid checkpoint in {}",
-                    self.store.dir().display()
-                );
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("--resume: cannot read checkpoint store: {e}");
-                std::process::exit(2);
-            }
+            Ok(None) => resume_failed("no valid checkpoint"),
+            Err(e) => resume_failed(format!("cannot load checkpoint: {e}")),
         };
-        let bundle = match CheckpointBundle::from_file(&file) {
-            Ok(bundle) => bundle,
-            Err(e) => {
-                eprintln!("--resume: checkpoint {key} is unusable: {e}");
-                std::process::exit(2);
-            }
-        };
-        let progress = match decode_records(&bundle.progress) {
-            Ok(progress) => progress,
-            Err(e) => {
-                eprintln!("--resume: checkpoint {key} progress is unusable: {e}");
-                std::process::exit(2);
-            }
-        };
-        // Cumulative counters/histograms continue from the checkpoint, not
-        // from this process's partial re-setup work (the benchmark was
-        // regenerated before this call; the original generation is already
-        // accounted inside the restored state).
-        telemetry::restore_metrics_state(&bundle.metrics);
-        telemetry::set_run_id_watermark(bundle.run_id_watermark);
-        telemetry::counter(telemetry::names::CHECKPOINT_RESUMES).incr();
+        let progress = decode_records(&bundle.progress).unwrap_or_else(|e| {
+            resume_failed(format!("checkpoint {key} progress is unusable: {e}"))
+        });
         args.open_journal_resumed(bundle.journal);
         if let Some(sink) = journal_sink() {
             sink.record_resume(bundle.run.iteration as u64, key);
@@ -219,6 +189,11 @@ impl CheckpointedSequence {
     }
 }
 
+fn resume_failed(detail: impl std::fmt::Display) -> ! {
+    eprintln!("--resume: {detail}");
+    std::process::exit(2);
+}
+
 impl CheckpointHook for CheckpointedSequence {
     fn resume(&mut self) -> Option<RunCheckpoint> {
         self.inflight.take()
@@ -229,19 +204,13 @@ impl CheckpointHook for CheckpointedSequence {
     }
 
     fn save(&mut self, checkpoint: &RunCheckpoint) -> Result<(), ActiveError> {
-        let bundle = CheckpointBundle {
-            run: checkpoint.clone(),
-            metrics: telemetry::metrics_state(),
-            run_id_watermark: telemetry::run_id_watermark(),
-            journal: journal_sink().map(|sink| sink.position()),
-            progress: encode_records(&self.completed),
-        };
-        self.store
-            .save(self.next_key, &bundle.to_file())
+        let journal = journal_sink().map(|sink| sink.position());
+        let key = self
+            .run
+            .save(checkpoint, journal, encode_records(&self.completed))
             .map_err(|e| ActiveError::Checkpoint {
                 detail: format!("checkpoint save failed: {e}"),
             })?;
-        self.next_key += 1;
         self.saves_done += 1;
         if self.crash_after == Some(self.saves_done) {
             // The injected crash the resume-determinism suite drives: die
@@ -250,8 +219,7 @@ impl CheckpointHook for CheckpointedSequence {
             // flushed (JsonlSink flushes per record).
             telemetry::flush();
             eprintln!(
-                "crash injected after checkpoint {} (--crash-after-checkpoints {})",
-                self.next_key - 1,
+                "crash injected after checkpoint {key} (--crash-after-checkpoints {})",
                 self.saves_done
             );
             std::process::exit(CRASH_EXIT_CODE);

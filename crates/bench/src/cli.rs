@@ -1,7 +1,7 @@
 use hotspot_telemetry::{
     self as telemetry, ConsoleSink, EnvFilter, JournalPosition, JsonlSink, MetricsServer,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The `--metrics-addr` HTTP server for the lifetime of the binary; stashed
@@ -307,7 +307,7 @@ impl ExperimentArgs {
             // already survive in the file), regenerate the benchmark
             // without double-journalling those events, truncate, and only
             // then start appending — see `open_journal_resumed`.
-            self.open_journal(false, None);
+            self.open_journal(|path, canonical| JsonlSink::create(path, canonical));
         }
         if let Some(addr) = &self.metrics_addr {
             match telemetry::serve_metrics(addr) {
@@ -324,36 +324,21 @@ impl ExperimentArgs {
         }
     }
 
-    /// Opens the `--journal` sink for a resumed run: the file is truncated
-    /// back to the checkpoint's durable [`JournalPosition`] (records the
-    /// crashed process wrote after its last save must not survive twice —
-    /// the resumed run re-emits them), then opened in append mode so the
-    /// continuation extends the surviving prefix. No-op without
-    /// `--journal`.
+    /// Opens the `--journal` sink for a resumed run, cut back to the
+    /// checkpoint's durable [`JournalPosition`] and continued from there
+    /// (see [`JsonlSink::resume`]): records the crashed process wrote after
+    /// its last save must not survive twice — the resumed run re-emits
+    /// them. No-op without `--journal`.
     pub fn open_journal_resumed(&self, position: Option<JournalPosition>) {
         if self.journal.is_some() {
-            self.open_journal(true, position);
+            self.open_journal(|path, canonical| JsonlSink::resume(path, canonical, position));
         }
     }
 
-    fn open_journal(&self, append: bool, truncate_to: Option<JournalPosition>) {
+    fn open_journal(&self, open: impl FnOnce(&Path, bool) -> std::io::Result<JsonlSink>) {
         // lithohd-lint: allow(panic-safety) — `open_journal` is only called with `journal` set
         let path = self.journal.as_ref().expect("journal path present");
-        if let Some(position) = truncate_to {
-            if let Ok(file) = std::fs::File::options().write(true).open(path) {
-                if let Err(e) = file.set_len(position.bytes) {
-                    eprintln!("cannot truncate journal {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        }
-        let sink = match (self.canonical_journal, append) {
-            (true, true) => JsonlSink::create_canonical_append(path),
-            (true, false) => JsonlSink::create_canonical(path),
-            (false, true) => JsonlSink::append(path),
-            (false, false) => JsonlSink::create(path),
-        };
-        match sink {
+        match open(path, self.canonical_journal) {
             Ok(sink) => {
                 let sink = Arc::new(sink);
                 // lithohd-lint: allow(panic-safety) — a poisoned lock is unrecoverable process state

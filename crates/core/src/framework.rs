@@ -274,9 +274,8 @@ impl SamplingFramework {
                 break;
             }
             // Line 8: temperature fit on the validation set.
-            temperature =
-                self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
             let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
+            temperature = self.fit_temperature(&val_logits, &dataset, run_id, &mut fault_stats);
             let diagram =
                 validation_diagram(&val_logits, dataset.validation_classes(), temperature);
             emit_calibration_bins(run_id, "iteration", iteration, &diagram);
@@ -422,9 +421,8 @@ impl SamplingFramework {
         }
 
         // Final calibration and full-chip detection on the remaining pool.
-        temperature =
-            self.fit_temperature_guarded(&model, &features, &dataset, run_id, &mut fault_stats);
         let (val_logits, _) = model.predict(&features.gather_rows(dataset.validation()));
+        temperature = self.fit_temperature(&val_logits, &dataset, run_id, &mut fault_stats);
         let after_diagram =
             validation_diagram(&val_logits, dataset.validation_classes(), temperature);
         emit_calibration_bins(run_id, "after", 0, &after_diagram);
@@ -563,18 +561,22 @@ impl SamplingFramework {
         })
     }
 
-    /// [`SamplingFramework::fit_temperature`] with a degradation guard: a
-    /// failed fit (e.g. a diverged model producing non-finite logits) falls
-    /// back to the identity temperature `T = 1` instead of aborting the run.
-    fn fit_temperature_guarded(
+    /// Fits the temperature to the model's validation logits (predicted
+    /// once by the caller, which reuses them for the reliability diagram).
+    /// A failed fit (e.g. a diverged model producing non-finite logits)
+    /// falls back to the identity temperature `T = 1` instead of aborting
+    /// the run.
+    fn fit_temperature(
         &self,
-        model: &HotspotModel,
-        features: &Matrix,
+        val_logits: &Matrix,
         dataset: &ActiveDataset,
         run_id: u64,
         fault_stats: &mut RunFaultStats,
     ) -> Temperature {
-        match self.fit_temperature(model, features, dataset) {
+        if !self.config.ablation.calibration || dataset.validation().is_empty() {
+            return Temperature::identity();
+        }
+        match Temperature::fit(val_logits.as_slice(), 2, dataset.validation_classes()) {
             Ok(temperature) => temperature,
             Err(error) => {
                 fault_stats.temperature_fallbacks += 1;
@@ -583,29 +585,12 @@ impl SamplingFramework {
                     "temperature fit failed; falling back to T = 1",
                     &[
                         ("run_id", run_id.into()),
-                        ("error", error.to_string().into()),
+                        ("error", ActiveError::from(error).to_string().into()),
                     ],
                 );
                 Temperature::identity()
             }
         }
-    }
-
-    fn fit_temperature(
-        &self,
-        model: &HotspotModel,
-        features: &Matrix,
-        dataset: &ActiveDataset,
-    ) -> Result<Temperature, ActiveError> {
-        if !self.config.ablation.calibration || dataset.validation().is_empty() {
-            return Ok(Temperature::identity());
-        }
-        let (logits, _) = model.predict(&features.gather_rows(dataset.validation()));
-        Ok(Temperature::fit(
-            logits.as_slice(),
-            2,
-            dataset.validation_classes(),
-        )?)
     }
 }
 

@@ -10,16 +10,18 @@
 //! <root>/<id>/done.json       final metrics, written when the campaign ends
 //! ```
 //!
-//! Every `step` is a full resume: load the latest
-//! [`hotspot_store::CheckpointBundle`], restore cumulative telemetry and the
-//! run-id watermark, truncate the journal to the bundle's durable position,
-//! and drive [`hotspot_active::SamplingFramework`] through a hook that saves
-//! after the next iteration and then *aborts the run on purpose* (the
-//! documented save-error contract) — advancing the campaign exactly one
+//! Every `step` is a full resume through [`hotspot_store::DurableRun`], the
+//! same path the bench harness's `--resume` takes: restore the process from
+//! the newest valid checkpoint, reopen the journal at the bundle's durable
+//! position, and drive [`hotspot_active::SamplingFramework`] through a hook
+//! that saves after the next iteration and then *aborts the run on purpose*
+//! (the documented save-error contract) — advancing the campaign exactly one
 //! iteration. The final step lets the run finish its detection pass and
 //! records `done.json`. Because a step never relies on in-process state
 //! beyond the benchmark cache, a killed and restarted server resumes
-//! byte-identically (pinned by `tests/session_chaos.rs`).
+//! byte-identically (pinned by `tests/session_chaos.rs`), and a torn newest
+//! checkpoint costs one redone iteration, committed after the torn key
+//! (pinned by `tests/torn_checkpoint.rs`).
 //!
 //! All session work is serialised on one runner thread: steps of different
 //! sessions never interleave, so the globally-attached journal sink only
@@ -41,7 +43,7 @@ use hotspot_active::{
 use hotspot_baselines::QpSelector;
 use hotspot_layout::GeneratedBenchmark;
 use hotspot_shard::{ShardConfig, ShardedOracle};
-use hotspot_store::{CheckpointBundle, CheckpointStore};
+use hotspot_store::{CheckpointStore, DurableRun};
 use hotspot_telemetry::{self as telemetry, names, JsonlSink, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -365,34 +367,24 @@ impl Runner {
         let mut config = SamplingConfig::for_benchmark(bench.len());
         config.iterations = spec.iterations;
 
-        let mut store = CheckpointStore::open(dir.join("ckpt"))
+        let mut run = DurableRun::open(dir.join("ckpt"))
             .map_err(|e| ServeError::Internal(format!("cannot open checkpoint store: {e}")))?;
-        let latest = store
-            .load_latest_bundle()
+        let latest = run
+            .resume()
             .map_err(|e| ServeError::Internal(format!("cannot load checkpoint: {e}")))?;
         let journal_path = dir.join("journal.jsonl");
-
-        // Restore-or-init exactly as the bench harness does: cumulative
-        // telemetry and the run-id allocator continue from the checkpoint,
-        // and the journal is truncated to the durable position so records
-        // written after the save never survive twice.
-        let (sink, resume_cp, next_key) = match latest {
-            Some((key, bundle)) => {
-                telemetry::restore_metrics_state(&bundle.metrics);
-                telemetry::set_run_id_watermark(bundle.run_id_watermark);
+        let (sink, resume_cp) = match latest {
+            Some((_, bundle)) => {
                 self.registry.counter(names::SERVE_SESSION_RESUMES).incr();
-                let bytes = bundle.journal.as_ref().map_or(0, |position| position.bytes);
-                truncate_journal(&journal_path, bytes)?;
-                let sink = JsonlSink::create_canonical_append(&journal_path)
+                let sink = JsonlSink::resume(&journal_path, true, bundle.journal)
                     .map_err(|e| ServeError::Internal(format!("cannot reopen journal: {e}")))?;
-                sink.record_resume(bundle.run.iteration as u64, key);
-                (Arc::new(sink), Some(bundle.run), key + 1)
+                (Arc::new(sink), Some(bundle.run))
             }
             None => {
                 telemetry::set_run_id_watermark(0);
-                let sink = JsonlSink::create_canonical(&journal_path)
+                let sink = JsonlSink::create(&journal_path, true)
                     .map_err(|e| ServeError::Internal(format!("cannot create journal: {e}")))?;
-                (Arc::new(sink), None, 1)
+                (Arc::new(sink), None)
             }
         };
         let next_iteration = resume_cp.as_ref().map_or(1, |cp| cp.iteration + 1);
@@ -414,10 +406,9 @@ impl Runner {
                 shard_config,
             );
             let mut hook = StepHook {
-                store: &mut store,
+                run: &mut run,
                 sink: &sink,
                 resume: resume_cp,
-                next_key,
                 final_iteration: config.iterations,
                 saved: None,
             };
@@ -488,20 +479,6 @@ fn read_done(dir: &Path) -> Result<Option<DoneRecord>, ServeError> {
     }
 }
 
-fn truncate_journal(path: &Path, bytes: u64) -> Result<(), ServeError> {
-    match std::fs::File::options().write(true).open(path) {
-        Ok(file) => file
-            .set_len(bytes)
-            .map_err(|e| ServeError::Internal(format!("cannot truncate journal: {e}"))),
-        // A checkpoint without a journal byte is only consistent with an
-        // empty journal; create_canonical_append will create the file.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && bytes == 0 => Ok(()),
-        Err(e) => Err(ServeError::Internal(format!(
-            "cannot reopen journal for truncation: {e}"
-        ))),
-    }
-}
-
 fn selector_for(method: &str) -> Result<Box<dyn BatchSelector>, ServeError> {
     match method {
         "ours" => Ok(Box::new(EntropySelector::new())),
@@ -517,10 +494,9 @@ fn selector_for(method: &str) -> Result<Box<dyn BatchSelector>, ServeError> {
 /// Saves after every iteration and aborts the run after the first save
 /// below the final iteration — the one-iteration-per-step mechanism.
 struct StepHook<'a> {
-    store: &'a mut CheckpointStore,
+    run: &'a mut DurableRun,
     sink: &'a JsonlSink,
     resume: Option<RunCheckpoint>,
-    next_key: u64,
     final_iteration: usize,
     saved: Option<usize>,
 }
@@ -535,19 +511,11 @@ impl CheckpointHook for StepHook<'_> {
     }
 
     fn save(&mut self, checkpoint: &RunCheckpoint) -> Result<(), ActiveError> {
-        let bundle = CheckpointBundle {
-            run: checkpoint.clone(),
-            metrics: telemetry::metrics_state(),
-            run_id_watermark: telemetry::run_id_watermark(),
-            journal: Some(self.sink.position()),
-            progress: Vec::new(),
-        };
-        self.store
-            .save(self.next_key, &bundle.to_file())
+        self.run
+            .save(checkpoint, Some(self.sink.position()), Vec::new())
             .map_err(|e| ActiveError::Checkpoint {
                 detail: format!("session checkpoint save failed: {e}"),
             })?;
-        self.next_key += 1;
         self.saved = Some(checkpoint.iteration);
         if checkpoint.iteration < self.final_iteration {
             // The documented abort contract: a save error stops the run.

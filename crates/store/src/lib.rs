@@ -21,10 +21,14 @@
 //! * [`CheckpointBundle`] — the full durable state of an experiment
 //!   (framework checkpoint + metrics + journal position + harness
 //!   progress), mapped onto named sections.
+//! * [`DurableRun`] — the one save/resume path every checkpointing process
+//!   uses (bench run sequences, serving sessions): it builds and commits
+//!   bundles under a monotone key and restores process telemetry from the
+//!   newest valid one.
 //!
 //! The store layer emits `checkpoint.saves`, `checkpoint.bytes`, and
-//! `checkpoint.corrupt_skipped` metrics; the harness that restores a bundle
-//! is expected to increment `checkpoint.resumes`.
+//! `checkpoint.corrupt_skipped` metrics; [`DurableRun::resume`] increments
+//! `checkpoint.resumes`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,6 +36,7 @@
 
 mod bundle;
 pub mod codec;
+mod durable;
 mod error;
 mod file;
 mod snapshot;
@@ -39,6 +44,7 @@ mod store;
 
 pub use bundle::CheckpointBundle;
 pub use codec::{crc32, ByteReader, ByteWriter};
+pub use durable::DurableRun;
 pub use error::StoreError;
 pub use file::{CheckpointFile, FORMAT_VERSION, MAGIC};
 pub use snapshot::{decode_from_slice, encode_to_vec, Restore, Snapshot};

@@ -224,8 +224,8 @@ impl CheckpointStore {
     }
 
     /// [`CheckpointStore::load_latest`] decoded straight into a
-    /// [`CheckpointBundle`] — the common shape for resume paths (bench
-    /// harness, serving sessions) that treat "latest valid commit" and
+    /// [`CheckpointBundle`] — the shape [`crate::DurableRun::resume`] and
+    /// session status reads use, treating "latest valid commit" and
     /// "latest usable bundle" as the same thing. A checkpoint that decodes
     /// as a file but not as a bundle is an error, not a fallback: its bytes
     /// committed atomically, so the payload schema (not torn writes) is

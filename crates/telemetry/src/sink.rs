@@ -1,7 +1,7 @@
 //! Pluggable event sinks: console (filtered), JSONL run journal, memory.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -68,7 +68,7 @@ impl Sink for ConsoleSink {
 /// `"type":"event"` or `"type":"snapshot"`, each carrying the microseconds
 /// elapsed since the journal was opened and a per-journal sequence number.
 ///
-/// [`JsonlSink::create_canonical`] opens the journal in *canonical* mode:
+/// `JsonlSink::create(path, true)` opens the journal in *canonical* mode:
 /// every wall-clock measurement is withheld (the `elapsed_us` header,
 /// `profile` span-close events, `elapsed_ms`/`duration_us` event fields,
 /// and `.seconds` latency histograms in snapshots), so two runs of the same
@@ -98,61 +98,56 @@ struct JournalWriter {
 }
 
 impl JsonlSink {
-    /// Creates (truncating) the journal file.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, false, false)
-    }
-
-    /// Creates (truncating) the journal file in canonical mode: all
+    /// Creates (truncating) the journal file. In `canonical` mode all
     /// wall-clock data is withheld so identically-seeded runs write
     /// byte-identical journals.
-    pub fn create_canonical(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, true, false)
+    pub fn create(path: impl AsRef<Path>, canonical: bool) -> io::Result<Self> {
+        Ok(Self::with_file(File::create(path)?, 0, 0, canonical))
     }
 
-    /// Opens the journal for appending (creating it when absent), so a
-    /// resumed run continues the file its interrupted predecessor left
-    /// behind. Sequence numbers continue from the existing line count.
-    pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, false, true)
+    /// Reopens the journal a resumed run continues: cut back to `at` (a
+    /// checkpoint's durable position, so records written after the save do
+    /// not survive twice; `None` keeps the whole file), then appended to,
+    /// with `seq` continuing from the surviving line count. A canonical
+    /// continuation is then byte-identical to an uninterrupted journal.
+    ///
+    /// # Errors
+    ///
+    /// A journal shorter than `at` (`InvalidData`; cutting it "back" would
+    /// zero-pad it), a missing journal unless `at` is byte 0 (`NotFound`; a
+    /// fresh file would restart `seq` at 0), and any I/O failure.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        canonical: bool,
+        at: Option<JournalPosition>,
+    ) -> io::Result<Self> {
+        let mut file = File::options()
+            .read(true)
+            .append(true)
+            .create(at.is_none_or(|at| at.bytes == 0))
+            .open(path)?;
+        if let Some(at) = at {
+            let len = file.metadata()?.len();
+            if len < at.bytes {
+                let detail = format!("journal is {len} bytes, short of position {}", at.bytes);
+                return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+            }
+            file.set_len(at.bytes)?;
+        }
+        let mut existing = Vec::new();
+        file.read_to_end(&mut existing)?;
+        let seq = existing.iter().filter(|&&b| b == b'\n').count() as u64;
+        Ok(Self::with_file(file, seq, existing.len() as u64, canonical))
     }
 
-    /// [`Self::append`] in canonical mode; with the journal first truncated
-    /// to the checkpoint's [`JournalPosition`], the continuation is
-    /// byte-identical to an uninterrupted run's journal.
-    pub fn create_canonical_append(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open(path, true, true)
-    }
-
-    fn open(path: impl AsRef<Path>, canonical: bool, append: bool) -> io::Result<Self> {
-        let (file, seq, bytes) = if append {
-            // Initialise the position from the surviving file: one record
-            // per line, so the next sequence number is the line count.
-            let existing = match std::fs::read(path.as_ref()) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(e),
-            };
-            let seq = existing.iter().filter(|&&b| b == b'\n').count() as u64;
-            let file = File::options().create(true).append(true).open(path)?;
-            (file, seq, existing.len() as u64)
-        } else {
-            (File::create(path)?, 0, 0)
-        };
-        Ok(JsonlSink {
-            writer: Mutex::new(JournalWriter {
-                out: BufWriter::new(file),
-                seq,
-                bytes,
-            }),
+    fn with_file(file: File, seq: u64, bytes: u64, canonical: bool) -> Self {
+        let out = BufWriter::new(file);
+        let writer = Mutex::new(JournalWriter { out, seq, bytes });
+        JsonlSink {
+            writer,
             opened: Instant::now(),
             canonical,
-        })
-    }
-
-    /// Whether this journal withholds wall-clock and provenance data.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
+        }
     }
 
     /// The current end-of-journal position (all records are flushed before
@@ -305,7 +300,7 @@ mod tests {
     fn jsonl_round_trips_events_and_snapshots() {
         let path =
             std::env::temp_dir().join(format!("lithohd-journal-test-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
+        let sink = JsonlSink::create(&path, false).unwrap();
         sink.on_event(&sample_event());
         let mut snapshot = MetricsSnapshot::default();
         snapshot
@@ -345,7 +340,7 @@ mod tests {
             "lithohd-journal-flush-test-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create(&path).unwrap();
+        let sink = JsonlSink::create(&path, false).unwrap();
         sink.on_event(&sample_event());
         // Without dropping (flushing) the sink, the record must already be
         // on disk — a killed process leaves a readable journal.
@@ -363,7 +358,7 @@ mod tests {
             "lithohd-journal-canonical-test-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create_canonical(&path).unwrap();
+        let sink = JsonlSink::create(&path, true).unwrap();
         // A profile event must be dropped entirely.
         sink.on_event(&Event {
             level: Level::Debug,
@@ -423,7 +418,7 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let sink = JsonlSink::create_canonical(&path).unwrap();
+        let sink = JsonlSink::create(&path, true).unwrap();
         sink.on_event(&sample_event());
         sink.on_event(&sample_event());
         let position = sink.position();
@@ -435,9 +430,8 @@ mod tests {
             "tracked bytes must equal the file length"
         );
 
-        // Simulate a resume: truncate to the recorded position (a no-op
-        // here) and reopen for appending.
-        let resumed = JsonlSink::create_canonical_append(&path).unwrap();
+        // Simulate a resume at the recorded position (a no-op cut here).
+        let resumed = JsonlSink::resume(&path, true, Some(position)).unwrap();
         assert_eq!(resumed.position(), position);
         resumed.on_event(&sample_event());
         drop(resumed);
@@ -451,13 +445,93 @@ mod tests {
     }
 
     #[test]
+    fn resume_cuts_the_journal_back_to_the_checkpoint_position() {
+        let path = std::env::temp_dir().join(format!(
+            "lithohd-journal-cut-test-{}.jsonl",
+            std::process::id()
+        ));
+        let sink = JsonlSink::create(&path, true).unwrap();
+        sink.on_event(&sample_event());
+        sink.on_event(&sample_event());
+        let position = sink.position();
+        // Written after the checkpoint: must not survive the resume.
+        sink.on_event(&sample_event());
+        drop(sink);
+
+        let resumed = JsonlSink::resume(&path, true, Some(position)).unwrap();
+        assert_eq!(resumed.position(), position);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), position.bytes);
+        resumed.on_event(&sample_event());
+        drop(resumed);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let seqs: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let record: Value = serde_json::from_str(line).unwrap();
+                record.get("seq").unwrap().as_u64().unwrap()
+            })
+            .collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_shorter_than_the_checkpoint_position() {
+        let path = std::env::temp_dir().join(format!(
+            "lithohd-journal-short-test-{}.jsonl",
+            std::process::id()
+        ));
+        let sink = JsonlSink::create(&path, true).unwrap();
+        sink.on_event(&sample_event());
+        let written = sink.position();
+        drop(sink);
+        // A checkpoint fsynced past the journal's last durable byte, as a
+        // power cut can leave them.
+        let ahead = JournalPosition {
+            bytes: written.bytes + 40,
+            seq: written.seq + 1,
+        };
+        let error = JsonlSink::resume(&path, true, Some(ahead))
+            .err()
+            .expect("a short journal must be refused");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            written.bytes,
+            "a refused journal must not be zero-padded"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_missing_journal_unless_at_byte_zero() {
+        let path = std::env::temp_dir().join(format!(
+            "lithohd-journal-missing-test-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let lost = JournalPosition { bytes: 64, seq: 1 };
+        let error = JsonlSink::resume(&path, true, Some(lost))
+            .err()
+            .expect("a missing journal with records must be refused");
+        assert_eq!(error.kind(), io::ErrorKind::NotFound);
+        assert!(!path.exists(), "a refused resume must not create the file");
+
+        let resumed = JsonlSink::resume(&path, true, Some(JournalPosition::default())).unwrap();
+        assert_eq!(resumed.position(), JournalPosition::default());
+        drop(resumed);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn resume_record_written_plainly_but_withheld_canonically() {
         let dir = std::env::temp_dir();
         let plain_path = dir.join(format!(
             "lithohd-journal-resume-plain-{}.jsonl",
             std::process::id()
         ));
-        let plain = JsonlSink::append(&plain_path).unwrap();
+        let plain = JsonlSink::resume(&plain_path, false, None).unwrap();
         plain.record_resume(7, 3);
         drop(plain);
         let text = std::fs::read_to_string(&plain_path).unwrap();
@@ -471,7 +545,7 @@ mod tests {
             "lithohd-journal-resume-canon-{}.jsonl",
             std::process::id()
         ));
-        let canonical = JsonlSink::create_canonical_append(&canonical_path).unwrap();
+        let canonical = JsonlSink::resume(&canonical_path, true, None).unwrap();
         canonical.record_resume(7, 3);
         drop(canonical);
         let text = std::fs::read_to_string(&canonical_path).unwrap();
@@ -488,7 +562,7 @@ mod tests {
             "lithohd-journal-ckpt-test-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create_canonical(&path).unwrap();
+        let sink = JsonlSink::create(&path, true).unwrap();
         sink.on_event(&Event {
             level: Level::Info,
             target: "store.checkpoint",
@@ -516,7 +590,7 @@ mod tests {
             "lithohd-journal-shard-test-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create_canonical(&path).unwrap();
+        let sink = JsonlSink::create(&path, true).unwrap();
         sink.on_event(&Event {
             level: Level::Debug,
             target: "shard.coordinator",
@@ -544,7 +618,7 @@ mod tests {
             "lithohd-journal-kernel-test-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create_canonical(&path).unwrap();
+        let sink = JsonlSink::create(&path, true).unwrap();
         let mut snapshot = MetricsSnapshot::default();
         snapshot
             .counters

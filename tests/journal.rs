@@ -23,7 +23,7 @@ fn journal_records_every_iteration_and_the_litho_count() {
         "lithohd-journal-integration-{}.jsonl",
         std::process::id()
     ));
-    let sink = telemetry::JsonlSink::create(&path).expect("journal opens");
+    let sink = telemetry::JsonlSink::create(&path, false).expect("journal opens");
     telemetry::add_sink(Arc::new(sink));
 
     let spec = BenchmarkSpec {

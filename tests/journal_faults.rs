@@ -60,7 +60,7 @@ fn faulty_run_journals_fault_meters_and_exact_billing() {
         "lithohd-journal-faults-{}.jsonl",
         std::process::id()
     ));
-    let sink = telemetry::JsonlSink::create(&path).expect("journal opens");
+    let sink = telemetry::JsonlSink::create(&path, false).expect("journal opens");
     telemetry::add_sink(Arc::new(sink));
 
     let (bench, framework) = bench_and_framework();
