@@ -576,17 +576,12 @@ fn render_shard_incidents(journal: &Journal) -> Option<String> {
 struct LintReport {
     files_scanned: usize,
     new_violations: Vec<LintFinding>,
-    // `Option` rather than `Vec` so reports from a linter predating either
+    // `Option` rather than `Vec` so reports from a linter predating the
     // list still parse (absent key deserializes as `None`).
-    grandfathered: Option<Vec<LintFinding>>,
     suppressed: Option<Vec<LintFinding>>,
 }
 
 impl LintReport {
-    fn grandfathered(&self) -> &[LintFinding] {
-        self.grandfathered.as_deref().unwrap_or_default()
-    }
-
     fn suppressed(&self) -> &[LintFinding] {
         self.suppressed.as_deref().unwrap_or_default()
     }
@@ -599,25 +594,16 @@ struct LintFinding {
     severity: String,
 }
 
-/// Renders the static-analysis section: a zero-baseline badge (the whole
-/// point of burning the baseline down) and a findings-by-rule table.
+/// Renders the static-analysis section: a clean-or-violations badge and a
+/// findings-by-rule table.
 fn render_lint_section(path: &str, lint: &LintReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## Static analysis: `{path}`");
     let _ = writeln!(out);
-    let badge = if lint.new_violations.is_empty() && lint.grandfathered().is_empty() {
-        "**baseline: zero** — no findings, no grandfathered debt".to_string()
-    } else if lint.new_violations.is_empty() {
-        format!(
-            "baseline: {} grandfathered finding(s) remain",
-            lint.grandfathered().len()
-        )
+    let badge = if lint.new_violations.is_empty() {
+        "**clean** — no unsuppressed findings".to_string()
     } else {
-        format!(
-            "**{} new violation(s)** ({} grandfathered)",
-            lint.new_violations.len(),
-            lint.grandfathered().len()
-        )
+        format!("**{} violation(s)**", lint.new_violations.len())
     };
     let _ = writeln!(
         out,
@@ -626,37 +612,31 @@ fn render_lint_section(path: &str, lint: &LintReport) -> String {
         lint.suppressed().len()
     );
 
-    // rule -> (new, grandfathered, suppressed), worst severity seen.
-    let mut by_rule: BTreeMap<&str, (usize, usize, usize, &str)> = BTreeMap::new();
-    let buckets: [(&[LintFinding], usize); 3] = [
-        (&lint.new_violations, 0),
-        (lint.grandfathered(), 1),
-        (lint.suppressed(), 2),
-    ];
-    for (findings, bucket) in buckets {
+    // rule -> (new, suppressed), worst severity seen.
+    let mut by_rule: BTreeMap<&str, (usize, usize, &str)> = BTreeMap::new();
+    let buckets: [(&[LintFinding], bool); 2] =
+        [(&lint.new_violations, false), (lint.suppressed(), true)];
+    for (findings, suppressed) in buckets {
         for finding in findings {
-            let entry = by_rule.entry(&finding.rule).or_insert((0, 0, 0, ""));
-            match bucket {
-                0 => entry.0 += 1,
-                1 => entry.1 += 1,
-                _ => entry.2 += 1,
+            let entry = by_rule.entry(&finding.rule).or_insert((0, 0, ""));
+            if suppressed {
+                entry.1 += 1;
+            } else {
+                entry.0 += 1;
             }
-            if entry.3.is_empty() || finding.severity == "Error" {
-                entry.3 = &finding.severity;
+            if entry.2.is_empty() || finding.severity == "Error" {
+                entry.2 = &finding.severity;
             }
         }
     }
     if !by_rule.is_empty() {
         let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| rule | severity | new | grandfathered | suppressed |"
-        );
-        let _ = writeln!(out, "|---|---|---:|---:|---:|");
-        for (rule, (new, old, suppressed, severity)) in &by_rule {
+        let _ = writeln!(out, "| rule | severity | new | suppressed |");
+        let _ = writeln!(out, "|---|---|---:|---:|");
+        for (rule, (new, suppressed, severity)) in &by_rule {
             let _ = writeln!(
                 out,
-                "| `{rule}` | {} | {new} | {old} | {suppressed} |",
+                "| `{rule}` | {} | {new} | {suppressed} |",
                 severity.to_lowercase()
             );
         }
@@ -769,13 +749,13 @@ mod tests {
     };
 
     #[test]
-    fn lint_section_zero_baseline_badge() {
+    fn lint_section_clean_badge() {
         let lint: LintReport = serde_json::from_str(
-            r#"{"files_scanned": 173, "new_violations": [], "grandfathered": [], "suppressed": []}"#,
+            r#"{"files_scanned": 173, "new_violations": [], "suppressed": []}"#,
         )
         .unwrap();
         let section = render_lint_section("lint.json", &lint);
-        assert!(section.contains("**baseline: zero**"));
+        assert!(section.contains("**clean**"));
         assert!(section.contains("173 file(s) scanned"));
         assert!(!section.contains("| rule |"), "no table without findings");
     }
@@ -790,16 +770,14 @@ mod tests {
                     {"rule": "lock-order", "severity": "Error"},
                     {"rule": "detached-spawn", "severity": "Warning"}
                 ],
-                "grandfathered": [{"rule": "panic-safety", "severity": "Warning"}],
                 "suppressed": [{"rule": "lock-order", "severity": "Error"}]
             }"#,
         )
         .unwrap();
         let section = render_lint_section("lint.json", &lint);
-        assert!(section.contains("**3 new violation(s)** (1 grandfathered)"));
-        assert!(section.contains("| `lock-order` | error | 2 | 0 | 1 |"));
-        assert!(section.contains("| `detached-spawn` | warning | 1 | 0 | 0 |"));
-        assert!(section.contains("| `panic-safety` | warning | 0 | 1 | 0 |"));
+        assert!(section.contains("**3 violation(s)**"));
+        assert!(section.contains("| `lock-order` | error | 2 | 1 |"));
+        assert!(section.contains("| `detached-spawn` | warning | 1 | 0 |"));
     }
 
     #[test]
@@ -817,7 +795,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lint.new_violations.len(), 1);
-        assert!(lint.grandfathered().is_empty());
+        assert!(lint.suppressed().is_empty());
     }
 
     #[test]

@@ -40,11 +40,10 @@ pub(crate) fn journal_sink() -> Option<Arc<JsonlSink>> {
 /// journal), `--canonical-journal` (withhold all wall-clock data from the
 /// journal so identically-seeded runs write byte-identical files),
 /// `--metrics-addr <ip:port>` (serve live Prometheus metrics over
-/// HTTP for the duration of the run), `--profile` (print the
-/// span-timing tree on exit), `--checkpoint-dir <dir>` (persist crash-safe
-/// run-state checkpoints), `--checkpoint-every <n>` (iterations between
-/// checkpoints, default 1), `--resume` (continue from the newest valid
-/// checkpoint instead of starting over),
+/// HTTP for the duration of the run), `--checkpoint-dir <dir>` (persist
+/// crash-safe run-state checkpoints), `--checkpoint-every <n>` (iterations
+/// between checkpoints, default 1), `--resume` (continue from the newest
+/// valid checkpoint instead of starting over),
 /// `--crash-after-checkpoints <n>` (kill the process right after the Nth
 /// checkpoint commit — the crash injector for resume testing),
 /// `--workers <n>` (shard each labelling batch across N oracle worker
@@ -75,8 +74,6 @@ pub struct ExperimentArgs {
     /// Address to serve live `/metrics` on (`--metrics-addr`), e.g.
     /// `127.0.0.1:9184`; port `0` picks a free port (logged at startup).
     pub metrics_addr: Option<String>,
-    /// Whether to print the span-timing profile on exit (`--profile`).
-    pub profile: bool,
     /// Checkpoint directory (`--checkpoint-dir`); enables durable run-state
     /// persistence via `hotspot-store`.
     pub checkpoint_dir: Option<PathBuf>,
@@ -116,7 +113,6 @@ impl Default for ExperimentArgs {
             journal: None,
             canonical_journal: false,
             metrics_addr: None,
-            profile: false,
             checkpoint_dir: None,
             checkpoint_every: 1,
             resume: false,
@@ -143,7 +139,7 @@ impl ExperimentArgs {
                 eprintln!(
                     "usage: <bin> [--scale <f64>] [--seed <u64>] [--repeats <usize>] [--out <dir>] \
                      [--log <filter>] [--journal <path>] [--canonical-journal] \
-                     [--metrics-addr <ip:port>] [--profile] [--checkpoint-dir <dir>] \
+                     [--metrics-addr <ip:port>] [--checkpoint-dir <dir>] \
                      [--checkpoint-every <n>] [--resume] [--crash-after-checkpoints <n>] \
                      [--workers <n>] [--kill-shard <i>@<k>] [--workers-sweep <n,n,...>] \
                      [--trace <path>]"
@@ -200,9 +196,6 @@ impl ExperimentArgs {
                 }
                 "--metrics-addr" => {
                     out.metrics_addr = Some(value()?);
-                }
-                "--profile" => {
-                    out.profile = true;
                 }
                 "--checkpoint-dir" => {
                     out.checkpoint_dir = Some(PathBuf::from(value()?));
@@ -353,14 +346,10 @@ impl ExperimentArgs {
     }
 
     /// Finalises telemetry at the end of a binary: publishes the metrics
-    /// snapshot to every sink (the journal's closing record), prints the
-    /// span-timing tree when `--profile` was given, and shuts down the
-    /// `--metrics-addr` server.
+    /// snapshot to every sink (the journal's closing record), writes the
+    /// `--trace` export, and shuts down the `--metrics-addr` server.
     pub fn finish_telemetry(&self) {
         telemetry::publish_snapshot();
-        if self.profile {
-            eprint!("{}", telemetry::profile_report());
-        }
         if let Some(path) = &self.trace {
             match std::fs::write(path, telemetry::trace::export_chrome_trace()) {
                 Ok(()) => eprintln!("trace written to {}", path.display()),
@@ -430,7 +419,6 @@ mod tests {
             "--canonical-journal",
             "--metrics-addr",
             "127.0.0.1:0",
-            "--profile",
             "--checkpoint-dir",
             "/tmp/ckpt",
             "--checkpoint-every",
@@ -450,7 +438,6 @@ mod tests {
         assert_eq!(args.journal, Some(PathBuf::from("/tmp/run.jsonl")));
         assert!(args.canonical_journal);
         assert_eq!(args.metrics_addr, Some("127.0.0.1:0".to_string()));
-        assert!(args.profile);
         assert_eq!(args.checkpoint_dir, Some(PathBuf::from("/tmp/ckpt")));
         assert_eq!(args.checkpoint_every, 2);
         assert!(args.resume);

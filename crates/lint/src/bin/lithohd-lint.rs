@@ -1,7 +1,7 @@
 //! `lithohd-lint` — the workspace static-analysis gate.
 //!
 //! ```text
-//! lithohd-lint check [--baseline <file>] [--json] [--root <dir>] [paths…]
+//! lithohd-lint check [--json] [--root <dir>] [paths…]
 //! lithohd-lint explain <rule>
 //! lithohd-lint rules
 //! ```
@@ -12,17 +12,14 @@
 //!
 //! Exit codes distinguish *what the linter found* from *whether it ran*:
 //!
-//! * `0` — scan completed, no findings (clean against the baseline);
+//! * `0` — scan completed, no unsuppressed findings;
 //! * `1` — the scan itself failed: usage, I/O, or configuration error;
 //! * `2` — scan completed and found violations.
 //!
 //! CI treats any nonzero exit as a failure but the distinction matters for
 //! tooling: exit 2 means "read the findings", exit 1 means "fix the
-//! invocation". The grandfather-list writer (`baseline` subcommand) is
-//! gone: the committed baseline is empty and stays empty, so every finding
-//! is a hard failure.
+//! invocation". Every unsuppressed finding is a hard failure.
 
-use hotspot_lint::baseline::Baseline;
 use hotspot_lint::rules::{self, CheckReport, Finding, NameRegistry, Severity};
 use hotspot_lint::workspace;
 use std::path::{Path, PathBuf};
@@ -39,7 +36,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: lithohd-lint <check|explain|rules> …\n\
          \n\
-         check [--baseline <file>] [--json] [--root <dir>] [paths…]\n\
+         check [--json] [--root <dir>] [paths…]\n\
          \x20   scan the workspace (or the given files, at library strictness)\n\
          explain <rule>\n\
          \x20   describe one rule: what it catches, why, how to fix\n\
@@ -65,7 +62,6 @@ fn main() -> ExitCode {
 }
 
 struct CheckArgs {
-    baseline: Option<PathBuf>,
     json: bool,
     root: Option<PathBuf>,
     paths: Vec<PathBuf>,
@@ -73,7 +69,6 @@ struct CheckArgs {
 
 fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
     let mut parsed = CheckArgs {
-        baseline: None,
         json: false,
         root: None,
         paths: Vec::new(),
@@ -81,11 +76,6 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--baseline" => {
-                parsed.baseline = Some(PathBuf::from(
-                    iter.next().ok_or("--baseline expects a path")?,
-                ));
-            }
             "--json" => parsed.json = true,
             "--root" => {
                 parsed.root = Some(PathBuf::from(iter.next().ok_or("--root expects a path")?));
@@ -149,41 +139,21 @@ fn run_check(args: &[String]) -> ExitCode {
             return ExitCode::from(EXIT_ERROR);
         }
     };
-    let baseline = match &parsed.baseline {
-        Some(path) => match Baseline::read(&root.join(path)) {
-            Ok(baseline) => Some(baseline),
-            Err(e) => {
-                eprintln!("lithohd-lint check: cannot read baseline: {e}");
-                return ExitCode::from(EXIT_ERROR);
-            }
-        },
-        None => None,
-    };
-    let empty = Baseline::default();
-    let (new, grandfathered) = baseline
-        .as_ref()
-        .unwrap_or(&empty)
-        .partition(&report.findings);
-
     if parsed.json {
-        print_json(&report, &new, &grandfathered);
+        print_json(&report);
     } else {
-        print_human(&report, &new, &grandfathered, baseline.is_some());
+        print_human(&report);
     }
-    if new.is_empty() {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_FINDINGS)
     }
 }
 
-fn print_human(
-    report: &CheckReport,
-    new: &[&Finding],
-    grandfathered: &[&Finding],
-    had_baseline: bool,
-) {
-    for finding in new {
+fn print_human(report: &CheckReport) {
+    let findings = &report.findings;
+    for finding in findings {
         println!(
             "{}:{}: [{}] {}: {}",
             finding.path,
@@ -196,15 +166,17 @@ fn print_human(
             println!("    {}", finding.excerpt);
         }
     }
-    let errors = new.iter().filter(|f| f.severity == Severity::Error).count();
+    let errors = findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .count();
     println!(
-        "lithohd-lint: {} file(s) scanned, {} new violation(s) ({} error(s), {} warning(s)), \
-         {} grandfathered, {} suppressed",
+        "lithohd-lint: {} file(s) scanned, {} violation(s) ({} error(s), {} warning(s)), \
+         {} suppressed",
         report.files_scanned,
-        new.len(),
+        findings.len(),
         errors,
-        new.len() - errors,
-        grandfathered.len(),
+        findings.len() - errors,
         report.suppressed.len(),
     );
     if !report.suppressed.is_empty() {
@@ -219,9 +191,6 @@ fn print_human(
             );
         }
     }
-    if had_baseline && new.is_empty() {
-        println!("clean against the baseline");
-    }
 }
 
 /// The machine-readable `--json` report shape.
@@ -229,15 +198,13 @@ fn print_human(
 struct JsonReport {
     files_scanned: usize,
     new_violations: Vec<Finding>,
-    grandfathered: Vec<Finding>,
     suppressed: Vec<Finding>,
 }
 
-fn print_json(report: &CheckReport, new: &[&Finding], grandfathered: &[&Finding]) {
+fn print_json(report: &CheckReport) {
     let body = JsonReport {
         files_scanned: report.files_scanned,
-        new_violations: new.iter().map(|f| (*f).clone()).collect(),
-        grandfathered: grandfathered.iter().map(|f| (*f).clone()).collect(),
+        new_violations: report.findings.clone(),
         suppressed: report.suppressed.clone(),
     };
     match serde_json::to_string_pretty(&body) {

@@ -28,7 +28,7 @@ pub(crate) struct LockEdge {
     pub path: String,
     /// 1-based line of the acquisition site.
     pub line: u32,
-    /// Trimmed source line (for baseline keys and reports).
+    /// Trimmed source line (for reports).
     pub excerpt: String,
 }
 

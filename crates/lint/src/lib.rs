@@ -45,10 +45,7 @@
 //!
 //! The `lithohd-lint` binary exposes `check` (human + JSON output, exit 2
 //! on findings, exit 1 on usage/I/O errors), `rules`, and
-//! `explain <rule>`. There is no baseline *writer* any more: the committed
-//! `lint-baseline.json` is empty, every finding is a hard failure, and the
-//! [`baseline`] module only survives to read (and verify emptiness of) the
-//! committed file.
+//! `explain <rule>`. Every unsuppressed finding is a hard failure.
 //!
 //! ```
 //! use hotspot_lint::rules::{check_files, FileClass, SourceFile};
@@ -66,14 +63,12 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod baseline;
 pub(crate) mod conc;
 pub mod rules;
 pub mod scanner;
 pub mod tree;
 pub mod workspace;
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use rules::{
     check_files, check_on_disk, classify, rule_info, wall_clock_shaped, CheckReport, FileClass,
     Finding, NameRegistry, RuleInfo, Severity, RULES,

@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// How bad a finding is. Both severities gate CI when the finding is new
-/// (absent from the baseline); severity is for triage, not for exemption.
+/// How bad a finding is. Both severities gate CI unless the finding is
+/// suppressed; severity is for triage, not for exemption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
     /// Breaks a reproducibility or integrity invariant.
@@ -37,7 +37,7 @@ impl Severity {
 /// Static description of one rule, driving `explain` and the catalog table.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable kebab-case rule name (used in suppressions and baselines).
+    /// Stable kebab-case rule name (used in suppressions).
     pub name: &'static str,
     /// Default severity.
     pub severity: Severity,
@@ -92,8 +92,8 @@ pub const RULES: &[RuleInfo] = &[
                   `unwrap()` on a hot path silently revokes. In library crates, propagate a typed \
                   error (`OracleError`, `ActiveError`, …) or handle the case. Tests, examples, \
                   benches and binaries may panic freely (a panic there is a failed test or a CLI \
-                  abort, which is the intended behavior). Grandfathered sites live in the \
-                  baseline; new ones need a fix or a reasoned suppression.",
+                  abort, which is the intended behavior). Every site needs a fix or a reasoned \
+                  suppression.",
     },
     RuleInfo {
         name: "float-eq",
@@ -188,8 +188,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "a lithohd-lint suppression without a reason",
         explain: "`// lithohd-lint: allow(rule) — reason` trades a checked invariant for a \
                   documented judgement call; without the reason it is just an unchecked \
-                  invariant. Reasonless suppressions always fail the gate and are never \
-                  grandfathered by a baseline.",
+                  invariant. Reasonless suppressions always fail the gate.",
     },
     RuleInfo {
         name: "unused-suppression",
@@ -222,7 +221,7 @@ pub struct Finding {
     pub line: u32,
     /// Human message.
     pub message: String,
-    /// The trimmed source line (also the baseline key).
+    /// The trimmed source line.
     pub excerpt: String,
     /// The suppression reason when an inline allow matched this finding.
     pub suppression_reason: Option<String>,

@@ -85,8 +85,9 @@ fn usage_and_config_errors_exit_1_not_2() {
     let out = lint(&["check", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(EXIT_ERROR));
 
-    // Missing baseline file: configuration error, not findings.
-    let out = lint(&["check", "--baseline", "no/such/baseline.json"]);
+    // The retired `--baseline` flag: a usage error, so stale invocations
+    // fail loudly instead of scanning without it.
+    let out = lint(&["check", "--baseline", "x"]);
     assert_eq!(
         out.status.code(),
         Some(EXIT_ERROR),

@@ -32,6 +32,9 @@ use crate::scorer::{BootstrapConfig, Scorer};
 use crate::session::SessionManager;
 use crate::ServeError;
 
+/// Per-read socket deadline of the HTTP workers.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Everything [`ServeApp::start`] needs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -40,8 +43,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// HTTP worker threads.
     pub threads: usize,
-    /// Per-read socket deadline.
-    pub read_timeout: Duration,
     /// Micro-batcher tuning.
     pub batch: BatchOptions,
     /// Scorer training parameters.
@@ -55,7 +56,6 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
-            read_timeout: Duration::from_secs(5),
             batch: BatchOptions::default(),
             bootstrap: BootstrapConfig::default(),
             sessions_dir: PathBuf::from("serve-sessions"),
@@ -117,9 +117,8 @@ impl ServeApp {
         let handler: Handler = Arc::new(move |request| handle(&handler_state, request));
         let http_options = HttpOptions {
             threads: options.threads.max(1),
-            read_timeout: options.read_timeout,
+            read_timeout: READ_TIMEOUT,
             thread_name: "hotspot-serve".to_string(),
-            ..HttpOptions::default()
         };
         let server = serve_http(&options.addr, http_options, handler)
             .map_err(|e| ServeError::Internal(format!("cannot bind {}: {e}", options.addr)))?;

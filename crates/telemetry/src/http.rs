@@ -36,6 +36,12 @@ const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// rejected as malformed.
 const MAX_HEAD: usize = 16 * 1024;
 
+/// Largest accepted request body; a longer one is answered 413.
+const MAX_BODY: usize = 4 * 1024 * 1024;
+
+/// Requests served on one connection before it is closed.
+const MAX_KEEP_ALIVE: usize = 1024;
+
 /// A parsed HTTP request handed to the router callback.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -144,10 +150,6 @@ pub struct HttpOptions {
     /// Per-read deadline; an idle keep-alive connection is dropped after
     /// one deadline without a new request.
     pub read_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body: usize,
-    /// Requests served on one connection before it is closed.
-    pub max_keep_alive: usize,
     /// Name prefix for the worker threads.
     pub thread_name: String,
 }
@@ -157,8 +159,6 @@ impl Default for HttpOptions {
         HttpOptions {
             threads: 1,
             read_timeout: IO_TIMEOUT,
-            max_body: 4 * 1024 * 1024,
-            max_keep_alive: 1024,
             thread_name: "lithohd-http".to_string(),
         }
     }
@@ -262,7 +262,7 @@ enum ReadOutcome {
     Closed,
     /// A syntactically broken head: answer 400 and close.
     Malformed,
-    /// A body larger than the configured cap: answer 413 and close.
+    /// A body larger than `MAX_BODY`: answer 413 and close.
     TooLarge,
 }
 
@@ -279,11 +279,11 @@ fn handle_connection(
     let _ = stream.set_write_timeout(Some(options.read_timeout));
     // Bytes read past the previous request's end (pipelined head start).
     let mut leftover: Vec<u8> = Vec::new();
-    for served in 0..options.max_keep_alive {
+    for served in 0..MAX_KEEP_ALIVE {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let request = match read_request(&mut stream, &mut leftover, options.max_body) {
+        let request = match read_request(&mut stream, &mut leftover) {
             ReadOutcome::Request(request) => request,
             ReadOutcome::Closed => break,
             ReadOutcome::Malformed => {
@@ -300,7 +300,7 @@ fn handle_connection(
             }
         };
         let mut response = handler(&request);
-        let last = served + 1 == options.max_keep_alive;
+        let last = served + 1 == MAX_KEEP_ALIVE;
         response.close = response.close || request.wants_close() || last;
         let close = response.close;
         if write_response(&mut stream, &response).is_err() || close {
@@ -311,7 +311,7 @@ fn handle_connection(
 
 /// Reads one request: head through the blank line, then a `Content-Length`
 /// body. `leftover` carries bytes already read past the previous request.
-fn read_request(stream: &mut TcpStream, leftover: &mut Vec<u8>, max_body: usize) -> ReadOutcome {
+fn read_request(stream: &mut TcpStream, leftover: &mut Vec<u8>) -> ReadOutcome {
     let mut buffer = std::mem::take(leftover);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -353,7 +353,7 @@ fn read_request(stream: &mut TcpStream, leftover: &mut Vec<u8>, max_body: usize)
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
         .unwrap_or(0);
-    if content_length > max_body {
+    if content_length > MAX_BODY {
         return ReadOutcome::TooLarge;
     }
     let mut body = buffer.split_off(head_end + 4);

@@ -14,10 +14,10 @@
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]) are atomics shared
 //!   process-wide; [`snapshot`] copies them and [`publish_snapshot`]
 //!   broadcasts the copy to sinks (the journal's final record).
-//! - **Spans** ([`span`]) time a scope on drop, aggregate into a
-//!   hierarchical [`ProfileTree`] (rendered by [`profile_report`] for
-//!   `--profile`), and emit a `profile` event so journals capture per-span
-//!   durations.
+//! - **Spans** ([`span`]) time a scope on drop, record it in a
+//!   `span.<name>.seconds` histogram, and emit a `profile` event so journals
+//!   capture per-span durations (`lithohd-report report` tabulates them per
+//!   span path).
 //!
 //! - **Traces** ([`trace::enable`], normally via `--trace out.json`) give
 //!   spans process-unique ids and parent links — propagated across threads
@@ -26,7 +26,7 @@
 //!   journals are unaffected.
 //!
 //! With no sinks registered, events cost one atomic load and spans only
-//! update the profile tree — instrumented library code stays cheap for
+//! update their histogram — instrumented library code stays cheap for
 //! callers that never opt in.
 
 #![forbid(unsafe_code)]
@@ -52,7 +52,7 @@ pub use metrics::{
     MetricsState,
 };
 pub use sink::{ConsoleSink, JournalPosition, JsonlSink, MemorySink, Sink};
-pub use span::{ProfileTree, SpanStat, SpanTimer};
+pub use span::SpanTimer;
 pub use trace::{TraceHandoff, TraceRecord};
 
 use std::cell::Cell;
@@ -65,7 +65,6 @@ pub(crate) struct Telemetry {
     /// Cheap empty-check so uninstrumented runs skip field formatting.
     sink_count: AtomicUsize,
     metrics: MetricsRegistry,
-    pub(crate) profile: ProfileTree,
     run_ids: AtomicU64,
 }
 
@@ -85,7 +84,6 @@ pub(crate) fn global() -> &'static Telemetry {
         sinks: RwLock::new(Vec::new()),
         sink_count: AtomicUsize::new(0),
         metrics: MetricsRegistry::default(),
-        profile: ProfileTree::default(),
         run_ids: AtomicU64::new(0),
     })
 }
@@ -260,16 +258,6 @@ pub fn publish_snapshot() -> MetricsSnapshot {
 /// Opens a wall-clock span; time is recorded when the returned timer drops.
 pub fn span(name: &'static str) -> SpanTimer {
     SpanTimer::open(name)
-}
-
-/// Renders the aggregated span-timing tree (the `--profile` output).
-pub fn profile_report() -> String {
-    global().profile.render()
-}
-
-/// Aggregated stats for one span path, if recorded.
-pub fn span_stat(path: &str) -> Option<SpanStat> {
-    global().profile.stat(path)
 }
 
 /// Flushes every sink.

@@ -107,15 +107,16 @@ impl JsonlSink {
 
     /// Reopens the journal a resumed run continues: cut back to `at` (a
     /// checkpoint's durable position, so records written after the save do
-    /// not survive twice; `None` keeps the whole file), then appended to,
-    /// with `seq` continuing from the surviving line count. A canonical
-    /// continuation is then byte-identical to an uninterrupted journal.
+    /// not survive twice), then appended to, with `seq` continuing from
+    /// `at.seq`. `None` keeps the whole file and counts its lines for `seq`.
+    /// A canonical continuation is then byte-identical to an uninterrupted
+    /// journal.
     ///
     /// # Errors
     ///
     /// A journal shorter than `at` (`InvalidData`; cutting it "back" would
-    /// zero-pad it), a missing journal unless `at` is byte 0 (`NotFound`; a
-    /// fresh file would restart `seq` at 0), and any I/O failure.
+    /// zero-pad it), a missing journal unless `at` is byte 0 (`NotFound`;
+    /// the records before `at` are lost), and any I/O failure.
     pub fn resume(
         path: impl AsRef<Path>,
         canonical: bool,
@@ -126,18 +127,26 @@ impl JsonlSink {
             .append(true)
             .create(at.is_none_or(|at| at.bytes == 0))
             .open(path)?;
-        if let Some(at) = at {
-            let len = file.metadata()?.len();
-            if len < at.bytes {
-                let detail = format!("journal is {len} bytes, short of position {}", at.bytes);
-                return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+        let at = match at {
+            Some(at) => {
+                let len = file.metadata()?.len();
+                if len < at.bytes {
+                    let detail = format!("journal is {len} bytes, short of position {}", at.bytes);
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+                }
+                file.set_len(at.bytes)?;
+                at
             }
-            file.set_len(at.bytes)?;
-        }
-        let mut existing = Vec::new();
-        file.read_to_end(&mut existing)?;
-        let seq = existing.iter().filter(|&&b| b == b'\n').count() as u64;
-        Ok(Self::with_file(file, seq, existing.len() as u64, canonical))
+            None => {
+                let mut existing = Vec::new();
+                file.read_to_end(&mut existing)?;
+                JournalPosition {
+                    bytes: existing.len() as u64,
+                    seq: existing.iter().filter(|&&b| b == b'\n').count() as u64,
+                }
+            }
+        };
+        Ok(Self::with_file(file, at.seq, at.bytes, canonical))
     }
 
     fn with_file(file: File, seq: u64, bytes: u64, canonical: bool) -> Self {

@@ -1,9 +1,8 @@
-//! RAII span timers feeding a hierarchical wall-clock profile.
+//! RAII span timers: a duration histogram, a `profile` event and a trace
+//! record per closed span.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::{FieldValue, Level};
 
@@ -12,75 +11,9 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Aggregate timings for one span path (e.g. `run/iteration/gmm.fit`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanStat {
-    /// How many spans closed at this path.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across those spans.
-    pub total_ns: u128,
-}
-
-/// Process-wide profile: span path → aggregated count and duration.
-#[derive(Debug, Default)]
-pub struct ProfileTree {
-    stats: Mutex<BTreeMap<String, SpanStat>>,
-}
-
-impl ProfileTree {
-    /// Folds one closed span into the tree.
-    pub fn record(&self, path: &str, elapsed: Duration) {
-        let mut stats = crate::recover(self.stats.lock());
-        let stat = stats.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.total_ns += elapsed.as_nanos();
-    }
-
-    /// Aggregated stats for an exact path.
-    pub fn stat(&self, path: &str) -> Option<SpanStat> {
-        crate::recover(self.stats.lock()).get(path).copied()
-    }
-
-    /// Number of distinct recorded paths.
-    pub fn len(&self) -> usize {
-        crate::recover(self.stats.lock()).len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Renders the tree as an indented table (for `--profile`).
-    pub fn render(&self) -> String {
-        let stats = crate::recover(self.stats.lock());
-        if stats.is_empty() {
-            return "profile: no spans recorded\n".to_string();
-        }
-        let mut out = format!(
-            "{:<48} {:>8} {:>12} {:>12}\n",
-            "span", "count", "total", "mean"
-        );
-        for (path, stat) in stats.iter() {
-            let depth = path.matches('/').count();
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let label = format!("{}{}", "  ".repeat(depth), name);
-            let total = Duration::from_nanos(stat.total_ns.min(u128::from(u64::MAX)) as u64);
-            let mean = total / stat.count.max(1).min(u64::from(u32::MAX)) as u32;
-            out.push_str(&format!(
-                "{label:<48} {:>8} {:>12} {:>12}\n",
-                stat.count,
-                format!("{total:.2?}"),
-                format!("{mean:.2?}"),
-            ));
-        }
-        out
-    }
-}
-
-/// RAII wall-clock timer: opens a span on creation, and on drop folds the
-/// elapsed time into the global profile and emits a `profile` event carrying
-/// the span path, duration, and any attached fields.
+/// RAII wall-clock timer: opens a span on creation, and on drop records the
+/// elapsed time in the span's duration histogram and emits a `profile` event
+/// carrying the span path, duration, and any attached fields.
 #[must_use = "a span timer measures until it is dropped"]
 #[derive(Debug)]
 pub struct SpanTimer {
@@ -148,7 +81,6 @@ impl Drop for SpanTimer {
             stack.truncate(keep);
             path
         });
-        crate::global().profile.record(&path, elapsed);
         // Feed the per-span duration histogram so live scrapes (`/metrics`)
         // see tail latencies without waiting for journal post-processing.
         crate::global()
@@ -169,41 +101,38 @@ impl Drop for SpanTimer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{FieldValue, MemorySink, Sink};
+    use std::sync::Arc;
 
-    #[test]
-    fn tree_aggregates_repeated_paths() {
-        let tree = ProfileTree::default();
-        tree.record("run", Duration::from_millis(10));
-        tree.record("run/iteration", Duration::from_millis(3));
-        tree.record("run/iteration", Duration::from_millis(5));
-        tree.record("run/iteration/gmm.fit", Duration::from_millis(1));
-
-        let iteration = tree.stat("run/iteration").unwrap();
-        assert_eq!(iteration.count, 2);
-        assert_eq!(iteration.total_ns, 8_000_000);
-        assert_eq!(tree.stat("run").unwrap().count, 1);
-        assert_eq!(tree.len(), 3);
-        assert!(tree.stat("missing").is_none());
+    /// Runs `body` with a memory sink attached and returns the
+    /// `(span name, path)` of every `profile` event it captured. Other tests
+    /// share the process-global sinks, so callers filter by span name.
+    fn closed_spans(body: impl FnOnce()) -> Vec<(String, String)> {
+        let sink = Arc::new(MemorySink::default());
+        let registered: Arc<dyn Sink> = sink.clone();
+        crate::add_sink(Arc::clone(&registered));
+        body();
+        crate::remove_sink(&registered);
+        let mut spans = Vec::new();
+        for event in sink.events() {
+            if event.target != "profile" {
+                continue;
+            }
+            if let Some((_, FieldValue::Str(path))) =
+                event.fields.iter().find(|(k, _)| *k == "span")
+            {
+                spans.push((event.message.clone(), path.clone()));
+            }
+        }
+        spans
     }
 
-    #[test]
-    fn render_indents_children_under_parents() {
-        let tree = ProfileTree::default();
-        tree.record("run", Duration::from_millis(2));
-        tree.record("run/iteration", Duration::from_millis(1));
-        let rendered = tree.render();
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert!(lines[1].starts_with("run"));
-        assert!(lines[2].starts_with("  iteration"));
-        assert!(rendered.contains("count"));
-    }
-
-    #[test]
-    fn empty_tree_renders_placeholder() {
-        let tree = ProfileTree::default();
-        assert!(tree.is_empty());
-        assert!(tree.render().contains("no spans"));
+    fn paths_of<'a>(spans: &'a [(String, String)], name: &str) -> Vec<&'a str> {
+        spans
+            .iter()
+            .filter(|(span, _)| span == name)
+            .map(|(_, path)| path.as_str())
+            .collect()
     }
 
     #[test]
@@ -218,29 +147,32 @@ mod tests {
 
     #[test]
     fn out_of_order_drops_do_not_panic_or_corrupt_siblings() {
-        let a = crate::span("st_ooo_a");
-        let b = crate::span("st_ooo_b");
-        drop(a); // closes the parent first, emptying this thread's stack
-        drop(b); // must not underflow, and must record under its own name
-        {
-            let _c = crate::span("st_ooo_c");
-        }
-        assert!(crate::global().profile.stat("st_ooo_b").is_some());
-        assert_eq!(crate::global().profile.stat("st_ooo_c").unwrap().count, 1);
+        let spans = closed_spans(|| {
+            let a = crate::span("st_ooo_a");
+            let b = crate::span("st_ooo_b");
+            drop(a); // closes the parent first, emptying this thread's stack
+            drop(b); // must not underflow, and must record under its own name
+            {
+                let _c = crate::span("st_ooo_c");
+            }
+        });
+        assert_eq!(paths_of(&spans, "st_ooo_b"), ["st_ooo_b"]);
+        assert_eq!(paths_of(&spans, "st_ooo_c"), ["st_ooo_c"]);
     }
 
     #[test]
     fn span_timers_nest_and_record() {
-        let _ = crate::global();
-        let outer = crate::span("st_outer");
-        let inner_path = {
-            let inner = crate::span("st_inner");
-            inner.path()
-        };
+        let mut inner_path = String::new();
+        let spans = closed_spans(|| {
+            let outer = crate::span("st_outer");
+            {
+                let inner = crate::span("st_inner");
+                inner_path = inner.path();
+            }
+            drop(outer);
+        });
         assert_eq!(inner_path, "st_outer/st_inner");
-        drop(outer);
-        let stat = crate::global().profile.stat("st_outer/st_inner").unwrap();
-        assert_eq!(stat.count, 1);
-        assert!(crate::global().profile.stat("st_outer").is_some());
+        assert_eq!(paths_of(&spans, "st_inner"), ["st_outer/st_inner"]);
+        assert_eq!(paths_of(&spans, "st_outer"), ["st_outer"]);
     }
 }

@@ -1,15 +1,14 @@
 //! The workspace must stay lint-clean: `cargo test` runs the same check as
-//! the CI `lint` job — every `lithohd-lint` finding is either fixed,
-//! suppressed inline with a reason, or grandfathered in the committed
-//! `lint-baseline.json`. New violations fail this test with the exact
-//! file:line output `lithohd-lint check` would print.
+//! the CI `lint` job — every `lithohd-lint` finding is either fixed or
+//! suppressed inline with a reason. Violations fail this test with the
+//! exact file:line output `lithohd-lint check` would print.
 
 use hotspot_lint::workspace::{discover, find_root};
-use hotspot_lint::{check_on_disk, Baseline, NameRegistry};
+use hotspot_lint::{check_on_disk, NameRegistry};
 use std::path::Path;
 
 #[test]
-fn workspace_is_clean_against_the_committed_baseline() {
+fn workspace_has_no_unsuppressed_findings() {
     let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     let registry_path = root.join("crates/telemetry/src/names.rs");
     let registry_source =
@@ -25,14 +24,13 @@ fn workspace_is_clean_against_the_committed_baseline() {
     let report =
         check_on_disk(&root, &files, Some(&registry), false).expect("workspace scan succeeds");
 
-    let baseline = Baseline::read(&root.join("lint-baseline.json"))
-        .expect("committed lint-baseline.json is readable");
-    let (new, _grandfathered) = baseline.partition(&report.findings);
+    let findings = &report.findings;
     assert!(
-        new.is_empty(),
-        "{} new lint violation(s); fix, suppress with a reason, or re-baseline:\n{}",
-        new.len(),
-        new.iter()
+        findings.is_empty(),
+        "{} lint violation(s); fix or suppress with a reason:\n{}",
+        findings.len(),
+        findings
+            .iter()
             .map(|f| format!(
                 "  {}:{}: [{}] {}: {}",
                 f.path,
